@@ -54,11 +54,10 @@ model::StudyConfig calibration() {
   return cfg;
 }
 
-cluster::ClusterConfig cluster_config(int shards, int threads, std::size_t cache_entries) {
+cluster::ClusterConfig cluster_config(int shards, std::size_t cache_entries) {
   cluster::ClusterConfig cfg;
   cfg.service.calibration = calibration();
   cfg.shards = shards;
-  cfg.threads = threads;
   cfg.cache_entries = cache_entries;
   return cfg;
 }
@@ -118,11 +117,11 @@ int main() {
 
   const std::vector<serve::AdvisorRequest> requests = query_grid();
   const auto primary = std::make_shared<serve::ModelRegistry>();
-  cluster::ServingCluster serial(cluster_config(1, 1, 0), primary);
+  cluster::ServingCluster serial(cluster_config(1, 0), primary);
   // The cache must hold the whole distinct-request set so the warm pass is
   // all hits; 2x slack because keys hash unevenly across the LRU's ways and
   // one overfull way would evict (and fail the warm gate).
-  cluster::ServingCluster parallel(cluster_config(shards, threads, 2 * requests.size()),
+  cluster::ServingCluster parallel(cluster_config(shards, 2 * requests.size()),
                                    primary);
 
   // Calibrate once, outside the timed region (the fit-once contract is the

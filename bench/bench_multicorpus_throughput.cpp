@@ -61,7 +61,7 @@ model::StudyConfig calibration(std::uint64_t seed) {
   return cfg;
 }
 
-cluster::ClusterConfig cluster_config(int shards, int threads, std::size_t cache_entries,
+cluster::ClusterConfig cluster_config(int shards, std::size_t cache_entries,
                                       bool rebalance) {
   cluster::ClusterConfig cfg;
   cfg.service.calibration = calibration(77);
@@ -70,7 +70,6 @@ cluster::ClusterConfig cluster_config(int shards, int threads, std::size_t cache
   titan.service.calibration = calibration(1701);
   cfg.corpora.push_back(std::move(titan));
   cfg.shards = shards;
-  cfg.threads = threads;
   cfg.cache_entries = cache_entries;
   cfg.rebalance = rebalance;
   return cfg;
@@ -177,11 +176,11 @@ int main() {
 
   const std::vector<serve::AdvisorRequest> requests = query_grid();
   const auto primary = std::make_shared<serve::ModelRegistry>();
-  cluster::ServingCluster serial(cluster_config(1, 1, 0, true), primary);
+  cluster::ServingCluster serial(cluster_config(1, 0, true), primary);
   // 2x slack on the cache, as in bench_cluster_throughput: keys hash
   // unevenly across the LRU's ways, and one overfull way would evict.
   cluster::ServingCluster parallel(
-      cluster_config(shards, threads, 2 * requests.size(), true), primary);
+      cluster_config(shards, 2 * requests.size(), true), primary);
 
   // Calibrate both corpora once, outside the timed region (fit-once is the
   // registry's point; replication copies bundles, never refits).
@@ -217,8 +216,8 @@ int main() {
   // Cache off so every request reaches a shard and the load counts mean
   // something; same shared primary, so still no refits.
   const std::vector<serve::AdvisorRequest> skewed = skewed_stream();
-  cluster::ServingCluster pinned(cluster_config(shards, threads, 0, false), primary);
-  cluster::ServingCluster balanced(cluster_config(shards, threads, 0, true), primary);
+  cluster::ServingCluster pinned(cluster_config(shards, 0, false), primary);
+  cluster::ServingCluster balanced(cluster_config(shards, 0, true), primary);
   const std::vector<serve::AdvisorResponse> skew_off = pinned.serve_batch(skewed);
   const std::vector<serve::AdvisorResponse> skew_on = balanced.serve_batch(skewed);
   const bool skew_same = identical(skew_off, skew_on);

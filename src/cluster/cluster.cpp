@@ -271,42 +271,89 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   // for the cache, hit or miss.
   static thread_local std::string cache_key;
   if (cache_->enabled()) canonical_request_key_into(request, cache_key);
+  // Derived from the enqueue timestamp captured above — one clock read per
+  // live admission, and the shed estimate can never postdate the queue span.
+  std::int64_t now_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(item.enqueued - epoch_).count();
 
-  // Record/replay are correctness modes: the whole admission serializes
-  // under the lock so the schedule captures (or pins) every submission,
-  // cache hits included. Both flags are set before streams open, so a
+  // Record and replay differ from live admission in exactly three ways,
+  // marked (a)-(c) below. Both flags are set before streams open, so a
   // relaxed read is stable for the run.
-  if (replaying_.load(std::memory_order_relaxed) ||
-      recording_.load(std::memory_order_relaxed)) {
-    admit_serialized(session, slot, request, std::move(item), cache_key);
-    return;
+  // (a) They hold admission_mutex_ from the top, so the schedule captures
+  //     (or pins) every submission, cache hits included. Replay blocks each
+  //     submission until the schedule reaches its (stream, seq) — what pins
+  //     the interleaving — and substitutes the recorded virtual timestamp.
+  const bool replaying = replaying_.load(std::memory_order_relaxed);
+  std::unique_lock<std::mutex> lock(admission_mutex_, std::defer_lock);
+  if (replaying || recording_.load(std::memory_order_relaxed)) {
+    lock.lock();
+    if (replaying) {
+      // begin_replay checked that each stream's seqs run 0, 1, 2, ... in
+      // order, so (stream, seq) is scheduled iff seq < the stream's record
+      // count. An unscheduled submission is answered now: waiting would
+      // park it on a cursor that never reaches it.
+      const auto scheduled = replay_len_.find(session->id());
+      if (scheduled == replay_len_.end() || slot >= scheduled->second) {
+        lock.unlock();
+        serve::AdvisorResponse r;
+        r.status = serve::AdvisorResponse::Status::kError;
+        r.error = "replay: submission not in the recording";
+        session->deliver(slot, std::move(r));
+        return;
+      }
+      replay_cv_.wait(lock, [&] {
+        return replay_[replay_cursor_].stream == session->id() &&
+               replay_[replay_cursor_].seq == slot;
+      });
+      now_us = replay_[replay_cursor_++].t_us;
+      replay_cv_.notify_all();
+    } else {
+      // Re-read under the lock so recorded timestamps run in schedule order.
+      now_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                   std::chrono::steady_clock::now() - epoch_)
+                   .count();
+      recorded_.push_back({session->id(), slot, now_us});
+    }
   }
 
-  // Derived from the enqueue timestamp captured above — one clock read per
-  // admission, and the shed estimate can never postdate the queue span.
-  const std::int64_t now_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                                  item.enqueued - epoch_)
-                                  .count();
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  // Live tracing on this path (wall microseconds since the recorder's
-  // epoch); the serialized path below owns the virtual-clock variant. The
-  // admit instant reuses the item's enqueue timestamp so it can never
-  // postdate the queue span the worker will stamp from the same clock.
+  // Tracing. A live-clock recorder stamps wall microseconds here and the
+  // shard worker traces the queue/eval/deliver stages. Under a
+  // virtual-clock recorder (replay) every event of the request's chain is
+  // emitted HERE, from the schedule's virtual timestamps and the backlog
+  // arithmetic, on a per-stream lane — a pure function of (schedule,
+  // requests), so the exported trace is byte-identical across fresh
+  // clusters (the workers stay silent).
   obs::TraceRecorder* const tr = config_.trace;
-  const bool tracing = tr && tr->enabled() && !tr->virtual_clock();
-  const auto trace_instant = [&](const char* name, const char* note,
-                                 std::int64_t ts) {
+  const bool tracing = tr && tr->enabled();
+  const bool virt = tracing && tr->virtual_clock();
+  const auto stamp = [&] { return virt ? now_us : tr->now_us(); };
+  const auto event = [&](const char* name, const char* note, std::int64_t ts) {
     obs::TraceEvent e{};
     e.name = name;
     e.cat = "req";
     e.phase = 'i';
     e.note = note;
     e.ts_us = ts;
+    if (virt) e.tid = static_cast<std::uint32_t>(session->id() + 1);
     e.stream = session->id();
     e.seq = slot;
-    tr->record(e);
+    return e;
   };
-  if (tracing) trace_instant("admit", nullptr, tr->since_epoch_us(item.enqueued));
+  // The admit instant reuses the item's enqueue timestamp so it can never
+  // postdate the queue span the worker will stamp from the same clock.
+  if (tracing)
+    tr->record(event("admit", nullptr, virt ? now_us : tr->since_epoch_us(item.enqueued)));
+  // Answers the request at admission. The terminal event is recorded
+  // BEFORE the session handoff (as the shard worker does): once a request's
+  // future resolves, its whole chain is in the rings, so an exporter woken
+  // by the delivery never reads a half-written chain.
+  const auto answer_now = [&](serve::AdvisorResponse&& response, const char* note) {
+    if (tracing) tr->record(event("deliver", note, stamp()));
+    if (lock.owns_lock()) lock.unlock();
+    session->deliver(slot, std::move(response));
+  };
+
+  queries_.fetch_add(1, std::memory_order_relaxed);
   // corpora_ is immutable after construction; resolution needs no lock.
   const int corpus_idx = resolve_corpus(request.corpus);
   if (corpus_idx < 0) {
@@ -315,29 +362,24 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
     r.status = serve::AdvisorResponse::Status::kError;
     r.error =
         "unknown corpus \"" + request.corpus + "\" (not resident on this cluster)";
-    // All four live-path deliver instants are recorded BEFORE the session
-    // handoff (matching the serialized path and the shard worker): once a
-    // request's future resolves, its whole chain is in the rings, so an
-    // exporter woken by the delivery never reads a half-written chain.
-    if (tracing) trace_instant("deliver", "unknown-corpus", tr->now_us());
-    session->deliver(slot, std::move(r));
+    answer_now(std::move(r), "unknown-corpus");
     return;
   }
   corpus_queries_[static_cast<std::size_t>(corpus_idx)].fetch_add(
       1, std::memory_order_relaxed);
   CorpusState& corpus = *corpora_[static_cast<std::size_t>(corpus_idx)];
   // Lazy residency: the first query naming a corpus pays its fit here
-  // (one-time, serialized under fit_mutex_); every later query is one
-  // atomic load. Then pin the CURRENT bundle into the item — from here on
-  // the request is bound to this epoch, whatever a concurrent refit does.
+  // (one-time, serialized under fit_mutex_; under record/replay it lands
+  // at a deterministic point in the admission order); every later query is
+  // one atomic load. Then pin the CURRENT bundle into the item — from here
+  // on the request is bound to this epoch, whatever a concurrent refit does.
   if (!ensure_corpus_resident(static_cast<std::size_t>(corpus_idx))) {
     degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (tracing) trace_instant("deliver", "degraded", tr->now_us());
-    session->deliver(slot, degraded_response(
-                               "corpus \"" +
-                               (corpus.name.empty() ? std::string("default")
-                                                    : corpus.name) +
-                               "\" unavailable: calibration fit failed"));
+    answer_now(degraded_response("corpus \"" +
+                                 (corpus.name.empty() ? std::string("default")
+                                                      : corpus.name) +
+                                 "\" unavailable: calibration fit failed"),
+               "degraded");
     return;
   }
   item.bundle = std::atomic_load(&corpus.bundle);
@@ -350,94 +392,103 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   // request hits entries its relaxed twin populated. The probe is scoped
   // to the corpus's partition and the PINNED epoch, so a hit is exactly
   // the bytes this epoch's evaluation would produce. The cache is
-  // internally lock-sharded; probing it needs no admission lock.
+  // internally lock-sharded; probing it needs no admission lock. The probe
+  // span is wall-clocked, so a virtual trace leaves it out.
   if (cache_->enabled()) {
-    const std::int64_t probe_begin_us = tracing ? tr->now_us() : 0;
+    const bool probe_span = tracing && !virt;
+    const std::int64_t probe_begin_us = probe_span ? tr->now_us() : 0;
     serve::AdvisorResponse hit;
     const bool was_hit = cache_->lookup(static_cast<std::size_t>(corpus_idx),
                                         item.bundle->epoch, cache_key, hit);
-    if (tracing) {
-      obs::TraceEvent probe{};
-      probe.name = "cache-probe";
-      probe.cat = "req";
+    if (probe_span) {
+      obs::TraceEvent probe = event("cache-probe", nullptr, probe_begin_us);
       probe.phase = 'X';
-      probe.ts_us = probe_begin_us;
       probe.dur_us = tr->now_us() - probe_begin_us;
-      probe.stream = session->id();
-      probe.seq = slot;
       probe.values = 1;
       probe.v0 = was_hit ? 1 : 0;
       tr->record(probe);
     }
     if (was_hit) {
-      if (tracing) trace_instant("deliver", "cache-hit", tr->now_us());
-      session->deliver(slot, std::move(hit));
+      answer_now(std::move(hit), "cache-hit");
       return;
     }
   }
 
-  std::size_t shard_idx = 0;
+  if (!lock.owns_lock()) lock.lock();
+  std::size_t shard_idx =
+      static_cast<std::size_t>(router_.route(corpus.corpus_key, request.arch));
+  // Failover routing: a shard whose worker is down (crash detected, not
+  // yet restarted) is skipped in favor of the first live shard in the
+  // key's deterministic rendezvous order. Placement never changes bytes;
+  // this only keeps fresh admissions off a queue nobody is draining.
   bool routed_around_down = false;
-  {
-    std::unique_lock<std::mutex> lock(admission_mutex_);
-    shard_idx = static_cast<std::size_t>(router_.route(corpus.corpus_key, request.arch));
-    // Failover routing: a shard whose worker is down (crash detected, not
-    // yet restarted) is skipped in favor of the first live shard in the
-    // key's deterministic rendezvous order. Placement never changes bytes;
-    // this only keeps fresh admissions off a queue nobody is draining.
-    if (health(shard_idx) == ShardHealth::kDown) {
-      for (const int s : router_.rendezvous_order(corpus.corpus_key, request.arch)) {
-        if (health(static_cast<std::size_t>(s)) != ShardHealth::kDown) {
-          shard_idx = static_cast<std::size_t>(s);
-          failovers_.fetch_add(1, std::memory_order_relaxed);
-          routed_around_down = true;
-          break;
-        }
+  if (health(shard_idx) == ShardHealth::kDown) {
+    for (const int s : router_.rendezvous_order(corpus.corpus_key, request.arch)) {
+      if (health(static_cast<std::size_t>(s)) != ShardHealth::kDown) {
+        shard_idx = static_cast<std::size_t>(s);
+        failovers_.fetch_add(1, std::memory_order_relaxed);
+        routed_around_down = true;
+        break;
       }
     }
-
-    // Deadline-aware admission control, the Horvitz & Lengyel budget
-    // framing applied to queueing: each shard's backlog_end is the virtual
-    // time its queue drains at; if this request would complete past its
-    // deadline, refuse it NOW with an explicit shed response instead of
-    // letting it rot in the queue. Admitted work advances the backlog,
-    // charged at the shard's measured EWMA — and an earliest start no
-    // sooner than the shard's MEASURED queue wait (the stage histogram's
-    // EWMA), so the estimate reflects real queue time, not just the
-    // virtual backlog arithmetic.
-    const double service_us = shards_[shard_idx]->service_estimate_us();
-    const double wait_us = shards_[shard_idx]->queue_wait_estimate_us();
-    double& backlog = backlog_end_us_[shard_idx];
-    const double start_us =
-        std::max(backlog, static_cast<double>(now_us) + wait_us);
-    const double done_us = start_us + service_us;
-    if (request.deadline_us > 0 &&
-        done_us - static_cast<double>(now_us) > static_cast<double>(request.deadline_us)) {
-      shed_queries_.fetch_add(1, std::memory_order_relaxed);
-      lock.unlock();
-      if (tracing) {
-        obs::TraceEvent shed{};
-        shed.name = "shed";
-        shed.cat = "req";
-        shed.phase = 'i';
-        shed.note = "deadline";
-        shed.ts_us = tr->now_us();
-        shed.stream = session->id();
-        shed.seq = slot;
-        shed.values = 2;
-        shed.v0 = static_cast<std::int64_t>(done_us) - now_us;
-        shed.v1 = request.deadline_us;
-        tr->record(shed);
-      }
-      session->deliver(slot, shed_response(static_cast<long>(done_us) - now_us,
-                                           request.deadline_us));
-      return;
-    }
-    backlog = done_us;
-    item.admit_seq = admit_seq_++;
   }
-  if (tracing && routed_around_down)
-    trace_instant("failover", "admission", tr->now_us());
+
+  // Deadline-aware admission control, the Horvitz & Lengyel budget framing
+  // applied to queueing: each shard's backlog_end is the virtual time its
+  // queue drains at; if this request would complete past its deadline,
+  // refuse it NOW with an explicit shed response instead of letting it rot
+  // in the queue. Admitted work advances the backlog. Live admission (and
+  // recording) charges the shard's measured service EWMA from an earliest
+  // start no sooner than its MEASURED queue wait (the stage histogram's
+  // EWMA). (b) Replay charges the fixed replay_service_us with no
+  // measured-wait term, so shedding stays a pure function of (schedule,
+  // requests).
+  Shard& shard = *shards_[shard_idx];
+  const double service_us =
+      replaying ? config_.replay_service_us : shard.service_estimate_us();
+  const double wait_us = replaying ? 0.0 : shard.queue_wait_estimate_us();
+  double& backlog = backlog_end_us_[shard_idx];
+  const double start_us = std::max(backlog, static_cast<double>(now_us) + wait_us);
+  const double done_us = start_us + service_us;
+  if (request.deadline_us > 0 &&
+      done_us - static_cast<double>(now_us) > static_cast<double>(request.deadline_us)) {
+    shed_queries_.fetch_add(1, std::memory_order_relaxed);
+    lock.unlock();
+    if (tracing) {
+      obs::TraceEvent shed = event("shed", "deadline", stamp());
+      shed.values = 2;
+      shed.v0 = static_cast<std::int64_t>(done_us) - now_us;
+      shed.v1 = request.deadline_us;
+      tr->record(shed);
+    }
+    session->deliver(slot, shed_response(static_cast<long>(done_us) - now_us,
+                                         request.deadline_us));
+    return;
+  }
+  backlog = done_us;
+  item.admit_seq = admit_seq_++;
+  lock.unlock();
+  if (tracing && !virt && routed_around_down)
+    tr->record(event("failover", "admission", tr->now_us()));
+
+  if (virt) {
+    // (c) The admitted request's remaining virtual chain: it waits in the
+    // queue until the shard's virtual backlog reaches it, evaluates for
+    // the fixed replay service cost, and delivers at its virtual
+    // completion. Truncation is monotone (floor(a) <= floor(b) for
+    // a <= b), so the spans can never disorder.
+    const auto e_start = static_cast<std::int64_t>(start_us);
+    const auto e_end = static_cast<std::int64_t>(done_us);
+    obs::TraceEvent span = event("queue", nullptr, now_us);
+    span.phase = 'X';
+    span.dur_us = e_start - now_us;
+    tr->record(span);
+    span.name = "eval";
+    span.ts_us = e_start;
+    span.dur_us = e_end - e_start;
+    tr->record(span);
+    tr->record(event("deliver", nullptr, e_end));
+  }
 
   item.corpus_key = corpus.corpus_key;
   if (request.deadline_us > 0) item.deadline_at_us = now_us + request.deadline_us;
@@ -446,199 +497,11 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   // (shed accounting, admit_seq) is already fixed, and the ordered queue
   // serves by key, so arrival order cannot change results. A false return
   // means shutdown raced this admission — the queue will never drain the
-  // item, so answer it here or close() would hang on the owed slot.
-  if (!shards_[shard_idx]->enqueue(std::move(item))) {
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (tracing) trace_instant("deliver", "degraded", tr->now_us());
-    session->deliver(slot, degraded_response("cluster shut down before evaluation"));
-  }
-}
-
-// The record/replay admission path: one lock over the whole decision so
-// the schedule is a faithful serialization of every submission. Replay
-// blocks each submission until the schedule reaches its (stream, seq) —
-// what pins the interleaving — and substitutes the recorded virtual
-// timestamp and the fixed replay service cost, making shed decisions a
-// pure function of (schedule, requests).
-void ServingCluster::admit_serialized(const std::shared_ptr<SessionState>& session,
-                                      std::size_t slot,
-                                      const serve::AdvisorRequest& request,
-                                      StreamItem&& item, const std::string& cache_key) {
-  std::unique_lock<std::mutex> lock(admission_mutex_);
-
-  std::int64_t now_us = 0;
-  if (replaying_.load(std::memory_order_relaxed)) {
-    replay_cv_.wait(lock, [&] {
-      return replay_cursor_ >= replay_.size() ||
-             (replay_[replay_cursor_].stream == session->id() &&
-              replay_[replay_cursor_].seq == slot);
-    });
-    if (replay_cursor_ >= replay_.size())
-      throw std::runtime_error(
-          "replay: admission schedule exhausted (submission not in the recording)");
-    now_us = replay_[replay_cursor_].t_us;
-    ++replay_cursor_;
-    replay_cv_.notify_all();
-  } else {
-    now_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                 std::chrono::steady_clock::now() - epoch_)
-                 .count();
-  }
-  if (recording_.load(std::memory_order_relaxed))
-    recorded_.push_back({session->id(), slot, now_us});
-
-  // Tracing on the serialized path. Under a virtual-clock recorder
-  // (replay), EVERY event of this request's chain is emitted here, from
-  // the schedule's virtual timestamps and the backlog arithmetic, on a
-  // per-stream lane — a pure function of (schedule, requests), so the
-  // exported trace is byte-identical across fresh clusters (the workers
-  // stay silent; shard.cpp suppresses live emission when the clock is
-  // virtual). A live-clock recorder (recording mode) just stamps the
-  // admit instant; the workers trace the rest as usual.
-  obs::TraceRecorder* const tr = config_.trace;
-  const bool tracing = tr && tr->enabled();
-  const bool virt = tracing && tr->virtual_clock();
-  const std::uint32_t lane = static_cast<std::uint32_t>(session->id() + 1);
-  const auto trace_instant = [&](const char* name, const char* note,
-                                 std::int64_t ts) {
-    obs::TraceEvent e{};
-    e.name = name;
-    e.cat = "req";
-    e.phase = 'i';
-    e.note = note;
-    e.ts_us = ts;
-    if (virt) e.tid = lane;
-    e.stream = session->id();
-    e.seq = slot;
-    tr->record(e);
-  };
-  if (tracing)
-    trace_instant("admit", nullptr, virt ? now_us : tr->since_epoch_us(item.enqueued));
-
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  const int corpus_idx = resolve_corpus(request.corpus);
-  if (corpus_idx < 0) {
-    unknown_corpus_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (tracing)
-      trace_instant("deliver", "unknown-corpus", virt ? now_us : tr->now_us());
-    lock.unlock();
-    serve::AdvisorResponse r;
-    r.status = serve::AdvisorResponse::Status::kError;
-    r.error =
-        "unknown corpus \"" + request.corpus + "\" (not resident on this cluster)";
-    session->deliver(slot, std::move(r));
-    return;
-  }
-  corpus_queries_[static_cast<std::size_t>(corpus_idx)].fetch_add(
-      1, std::memory_order_relaxed);
-  CorpusState& corpus = *corpora_[static_cast<std::size_t>(corpus_idx)];
-  // Same lazy-residency + epoch-pinning sequence as the live path; the
-  // serialized path just runs it under the admission lock, so a recorded
-  // schedule's first-query fit lands at a deterministic point in the
-  // admission order.
-  if (!ensure_corpus_resident(static_cast<std::size_t>(corpus_idx))) {
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (tracing) trace_instant("deliver", "degraded", virt ? now_us : tr->now_us());
-    lock.unlock();
-    session->deliver(slot, degraded_response(
-                               "corpus \"" +
-                               (corpus.name.empty() ? std::string("default")
-                                                    : corpus.name) +
-                               "\" unavailable: calibration fit failed"));
-    return;
-  }
-  item.bundle = std::atomic_load(&corpus.bundle);
-  item.constants = &corpus.service.constants;
-  item.corpus_index = corpus_idx;
-
-  if (cache_->enabled()) {
-    serve::AdvisorResponse hit;
-    if (cache_->lookup(static_cast<std::size_t>(corpus_idx), item.bundle->epoch,
-                       cache_key, hit)) {
-      if (tracing) trace_instant("deliver", "cache-hit", virt ? now_us : tr->now_us());
-      lock.unlock();
-      session->deliver(slot, std::move(hit));
-      return;
-    }
-  }
-
-  std::size_t shard_idx = static_cast<std::size_t>(
-      router_.route(corpus.corpus_key, request.arch));
-  if (health(shard_idx) == ShardHealth::kDown) {
-    for (const int s : router_.rendezvous_order(corpus.corpus_key, request.arch)) {
-      if (health(static_cast<std::size_t>(s)) != ShardHealth::kDown) {
-        shard_idx = static_cast<std::size_t>(s);
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-    }
-  }
-  const double service_us = replaying_.load(std::memory_order_relaxed)
-                                ? config_.replay_service_us
-                                : shards_[shard_idx]->service_estimate_us();
-  double& backlog = backlog_end_us_[shard_idx];
-  const double start_us = std::max(backlog, static_cast<double>(now_us));
-  const double done_us = start_us + service_us;
-  if (request.deadline_us > 0 &&
-      done_us - static_cast<double>(now_us) > static_cast<double>(request.deadline_us)) {
-    shed_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (tracing) {
-      obs::TraceEvent shed{};
-      shed.name = "shed";
-      shed.cat = "req";
-      shed.phase = 'i';
-      shed.note = "deadline";
-      shed.ts_us = virt ? now_us : tr->now_us();
-      if (virt) shed.tid = lane;
-      shed.stream = session->id();
-      shed.seq = slot;
-      shed.values = 2;
-      shed.v0 = static_cast<std::int64_t>(done_us) - now_us;
-      shed.v1 = request.deadline_us;
-      tr->record(shed);
-    }
-    lock.unlock();
-    session->deliver(slot, shed_response(static_cast<long>(done_us) - now_us,
-                                         request.deadline_us));
-    return;
-  }
-  backlog = done_us;
-
-  if (virt) {
-    // The admitted request's remaining virtual chain: it waits in the
-    // queue until the shard's virtual backlog reaches it, evaluates for
-    // the fixed replay service cost, and delivers at its virtual
-    // completion. Truncation is monotone (floor(a) <= floor(b) for
-    // a <= b), so the spans can never disorder.
-    const std::int64_t q_start = now_us;
-    const std::int64_t e_start = static_cast<std::int64_t>(start_us);
-    const std::int64_t e_end = static_cast<std::int64_t>(done_us);
-    obs::TraceEvent queue_span{};
-    queue_span.name = "queue";
-    queue_span.cat = "req";
-    queue_span.phase = 'X';
-    queue_span.ts_us = q_start;
-    queue_span.dur_us = e_start - q_start;
-    queue_span.tid = lane;
-    queue_span.stream = session->id();
-    queue_span.seq = slot;
-    tr->record(queue_span);
-    obs::TraceEvent eval_span = queue_span;
-    eval_span.name = "eval";
-    eval_span.ts_us = e_start;
-    eval_span.dur_us = e_end - e_start;
-    tr->record(eval_span);
-    trace_instant("deliver", nullptr, e_end);
-  }
-
-  item.corpus_key = corpus.corpus_key;
-  if (request.deadline_us > 0) item.deadline_at_us = now_us + request.deadline_us;
-  item.admit_seq = admit_seq_++;
-  Shard& shard = *shards_[shard_idx];
-  lock.unlock();
+  // item, so answer it here or close() would hang on the owed slot (a
+  // virtual chain already holds its terminal event).
   if (!shard.enqueue(std::move(item))) {
     degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (tracing && !virt) trace_instant("deliver", "degraded", tr->now_us());
+    if (tracing && !virt) tr->record(event("deliver", "degraded", tr->now_us()));
     session->deliver(slot, degraded_response("cluster shut down before evaluation"));
   }
 }
@@ -756,9 +619,9 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
     // push from worker/watchdog context could deadlock shards against each
     // other), and the response is the normal pure bytes, because WHO
     // evaluates never matters. WHETHER it fails still must: the inline
-    // path walks the same deterministic fault ladder the supervised worker
-    // would have — crash site first, then eval-throw, each consuming the
-    // attempt — or a transiently unreachable sibling would let a request
+    // path takes the same per-item decision the shard drain takes
+    // (item_fault: crash site first, then eval-throw, each consuming the
+    // attempt) — or a transiently unreachable sibling would let a request
     // dodge its scheduled failures and break same-seed byte identity. A
     // crash firing here cannot kill a worker (this is watchdog or sibling-
     // worker context); both sites are just transient failures.
@@ -767,13 +630,7 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
         degrade_exhausted(item);
         break;
       }
-      const std::uint64_t stream = item.session->id();
-      const auto attempt = static_cast<std::uint64_t>(item.attempt);
-      if (faults_.armed() &&
-          (faults_.should_fire(core::FaultSite::kWorkerCrash, stream, item.slot,
-                               attempt) ||
-           faults_.should_fire(core::FaultSite::kShardEvalThrow, stream, item.slot,
-                               attempt))) {
+      if (faults_.armed() && item_fault(faults_, item) != ItemFault::kNone) {
         item.attempt += 1;
         retries_.fetch_add(1, std::memory_order_relaxed);
         continue;
@@ -933,6 +790,14 @@ bool ServingCluster::append_observations(const std::string& name,
 }
 
 std::uint64_t ServingCluster::refit(const std::string& name) {
+  return schedule_refit(name, /*drift=*/false);
+}
+
+std::uint64_t ServingCluster::recalibrate(const std::string& name) {
+  return schedule_refit(name, /*drift=*/true);
+}
+
+std::uint64_t ServingCluster::schedule_refit(const std::string& name, bool drift) {
   const int idx = resolve_corpus(name);
   if (idx < 0) return 0;
   ensure_serving();  // the refit worker must exist to drain the queue
@@ -941,22 +806,7 @@ std::uint64_t ServingCluster::refit(const std::string& name) {
       std::atomic_load(&corpora_[static_cast<std::size_t>(idx)]->bundle);
   {
     std::lock_guard<std::mutex> lock(refit_mutex_);
-    refit_queue_.push_back({static_cast<std::size_t>(idx), /*drift=*/false});
-  }
-  refit_cv_.notify_one();
-  return current->epoch + 1;
-}
-
-std::uint64_t ServingCluster::recalibrate(const std::string& name) {
-  const int idx = resolve_corpus(name);
-  if (idx < 0) return 0;
-  ensure_serving();
-  if (!ensure_corpus_resident(static_cast<std::size_t>(idx))) return 0;
-  const serve::BundlePtr current =
-      std::atomic_load(&corpora_[static_cast<std::size_t>(idx)]->bundle);
-  {
-    std::lock_guard<std::mutex> lock(refit_mutex_);
-    refit_queue_.push_back({static_cast<std::size_t>(idx), /*drift=*/true});
+    refit_queue_.push_back({static_cast<std::size_t>(idx), drift});
   }
   refit_cv_.notify_one();
   return current->epoch + 1;
@@ -1017,7 +867,11 @@ AdmissionSchedule ServingCluster::take_recording() {
 }
 
 void ServingCluster::begin_replay(AdmissionSchedule schedule) {
+  std::string error;
+  if (!check_schedule(schedule, error)) throw std::invalid_argument("replay: " + error);
   std::lock_guard<std::mutex> lock(admission_mutex_);
+  replay_len_.clear();
+  for (const AdmissionRecord& record : schedule) ++replay_len_[record.stream];
   replay_ = std::move(schedule);
   replay_cursor_ = 0;
   replaying_ = true;
@@ -1058,7 +912,7 @@ ClusterMetrics ServingCluster::metrics() const {
       m.cache_lookups > 0
           ? static_cast<double>(m.cache_hits) / static_cast<double>(m.cache_lookups)
           : 0.0;
-  // The admission counters are atomics (the live fast path bumps them
+  // The admission counters are atomics (live admission bumps them
   // outside any lock); only the router's hot-key scan needs the admission
   // lock, because route() mutates the load counters under it.
   m.queries = queries_.load(std::memory_order_relaxed);

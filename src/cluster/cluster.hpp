@@ -22,8 +22,8 @@
 //                  └─> the shard's bounded ordered queue (strict priority,
 //                      EDF within a class) ─> the shard's dedicated worker
 //                      thread drains coalesced batches ─>
-//                      serve::answer_request against the fingerprint-
-//                      selected replica bundle ─> slot (+ cache insert)
+//                      serve::answer_batch against each item's pinned
+//                      corpus bundle ─> slot (+ cache insert)
 //
 // serve_batch still exists and is the compatibility surface: it opens a
 // session, submits the batch, and closes — so every batch-era caller rides
@@ -82,14 +82,14 @@
 // admission -> a session's own mutex inside deliver):
 //   admission_mutex_ — the order-dependent heart: routing (the router's
 //     decaying load counters), shed accounting against the per-shard
-//     virtual backlog, and the admission sequence. The LIVE path holds it
+//     virtual backlog, and the admission sequence. Live admission holds it
 //     only for that slim section — request copies, the canonical cache
 //     key, corpus resolution (immutable after construction), the cache
 //     probe (internally lock-sharded), and the admission counters
 //     (atomics) all happen outside, which is what lets N concurrent
-//     producers outrun one. Record/replay mode instead serializes the
-//     WHOLE admission under this lock, so the schedule captures (or pins)
-//     every submission, cache hits included.
+//     producers outrun one. Under record/replay the same admit() takes it
+//     from the top instead, so the schedule captures (or pins) every
+//     submission, cache hits included.
 //   per-shard queue + stats locks — bounded blocking enqueue happens
 //     OUTSIDE admission_mutex_ (a full queue must not stall other
 //     admitters or a replay waiter; the admission-order guarantees are
@@ -115,6 +115,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/fault.hpp"
@@ -144,8 +145,8 @@ struct CorpusConfig {
 struct ClusterConfig {
   // The DEFAULT calibration corpus + mapping constants, exactly as a
   // single AdvisorService takes them (the `threads` field is ignored — the
-  // cluster's evaluation parallelism is its shard workers). Requests with
-  // an empty `corpus` selector resolve here.
+  // cluster's evaluation parallelism is one worker per shard). Requests
+  // with an empty `corpus` selector resolve here.
   serve::ServiceConfig service;
 
   // Additional named corpora resident alongside the default. Entries with
@@ -171,11 +172,6 @@ struct ClusterConfig {
   bool rebalance = true;
   double imbalance_ratio = 1.25;
   std::size_t rebalance_window = 4096;  // decaying-counter halving period
-
-  // Retained for config compatibility with the batch era; the streaming
-  // pipeline's parallelism is one dedicated worker per shard, so this no
-  // longer allocates anything.
-  int threads = 0;
 
   // Shed accounting's per-request service cost in microseconds: the fixed
   // cost replay mode charges (keeping shed decisions a pure function of
@@ -243,13 +239,18 @@ class ServingCluster {
       const std::vector<serve::AdvisorRequest>& requests);
 
   // Admission-schedule recording and replay (see stream.hpp). Recording
-  // captures (stream, seq, virtual timestamp) per admitted request;
-  // begin_replay pins the admission interleaving AND the virtual clock to
-  // a prior recording, so a replaying cluster — given the same sessions
-  // submitting the same requests — reproduces responses and shed decisions
-  // byte-identically. Replay submissions block until the schedule reaches
-  // them; a submission the schedule never names throws. Both are meant for
-  // a fresh cluster whose session-open order mirrors the recorded run.
+  // captures (stream, seq, virtual timestamp) per submission; begin_replay
+  // pins the admission interleaving AND the virtual clock to a prior
+  // recording, so a replaying cluster — given the same sessions submitting
+  // the same requests — reproduces responses and shed decisions
+  // byte-identically. begin_replay throws std::invalid_argument unless
+  // each stream's seqs run 0, 1, 2, ... in order (check_schedule; every
+  // recording has that shape). Replay submissions block until the schedule
+  // reaches them; a submission the schedule does not hold (a truncated
+  // recording, an extra request) is answered at once with an in-slot
+  // kError response, "replay: submission not in the recording". Both are
+  // meant for a fresh cluster whose session-open order mirrors the
+  // recorded run.
   void enable_recording();
   AdmissionSchedule take_recording();  // moves out what was captured so far
   void begin_replay(AdmissionSchedule schedule);
@@ -366,17 +367,18 @@ class ServingCluster {
   // corpora's cache partitions.
   void refit_loop();
   void run_refit(const RefitJob& job);
+  // refit()/recalibrate(): queues one job for `name`'s corpus (forcing
+  // residency first) and returns the epoch lower bound, or 0.
+  std::uint64_t schedule_refit(const std::string& name, bool drift);
 
-  // The admission path (StreamSession::submit lands here): resolve, cache,
-  // route, shed-or-enqueue. `session` rides into the StreamItem so the
-  // shard can deliver. Live serving holds admission_mutex_ only for the
-  // route/shed/sequence section; record and replay divert to the fully
-  // serialized variant below.
+  // The one admission path (StreamSession::submit lands here): resolve,
+  // cache, route, shed-or-enqueue. `session` rides into the StreamItem so
+  // the shard can deliver. Record and replay differ from live admission
+  // only in holding admission_mutex_ from the top, in replay's virtual
+  // timestamp and fixed service cost, and in replay's virtual-clock trace
+  // chain — all marked inside.
   void admit(const std::shared_ptr<SessionState>& session, std::size_t slot,
              const serve::AdvisorRequest& request);
-  void admit_serialized(const std::shared_ptr<SessionState>& session, std::size_t slot,
-                        const serve::AdvisorRequest& request, StreamItem&& item,
-                        const std::string& cache_key);
 
   // StreamSession::close support: flush every shard's partial batch so the
   // session's in-flight tail is answered promptly.
@@ -462,15 +464,18 @@ class ServingCluster {
   std::uint64_t next_stream_id_ = 0;
   std::uint64_t admit_seq_ = 0;
   std::vector<double> backlog_end_us_;  // per shard
-  // Mode flags are atomic because the live fast path reads them without
-  // the lock; both are fixed before streams open (enable_recording /
+  // Mode flags are atomic because admit() reads them before deciding
+  // whether to lock; both are fixed before streams open (enable_recording /
   // begin_replay precede serving by contract).
   std::atomic<bool> recording_{false};
   AdmissionSchedule recorded_;
   std::atomic<bool> replaying_{false};
   AdmissionSchedule replay_;
   std::size_t replay_cursor_ = 0;
-  // Admission counters: atomics so the live fast path updates them outside
+  // Records per stream in replay_: (stream, seq) is scheduled iff
+  // seq < replay_len_[stream], because check_schedule holds.
+  std::unordered_map<std::uint64_t, std::uint64_t> replay_len_;
+  // Admission counters: atomics so live admission updates them outside
   // the admission lock (metrics() reads are monotone either way).
   std::atomic<long> queries_{0};
   std::unique_ptr<std::atomic<long>[]> corpus_queries_;  // aligned with corpora_

@@ -15,6 +15,16 @@ const char* shard_health_name(ShardHealth health) {
   return "?";
 }
 
+ItemFault item_fault(core::FaultInjector& faults, const StreamItem& item) {
+  const std::uint64_t stream = item.session->id();
+  const auto attempt = static_cast<std::uint64_t>(item.attempt);
+  if (faults.should_fire(core::FaultSite::kWorkerCrash, stream, item.slot, attempt))
+    return ItemFault::kCrash;
+  if (faults.should_fire(core::FaultSite::kShardEvalThrow, stream, item.slot, attempt))
+    return ItemFault::kThrow;
+  return ItemFault::kNone;
+}
+
 Shard::Shard(int index, std::size_t queue_capacity, std::size_t batch_size,
              std::chrono::nanoseconds batch_deadline, double initial_service_us)
     : index_(index),
@@ -148,7 +158,7 @@ void Shard::evaluate_batch(std::vector<StreamItem>& batch,
     } catch (...) {
       // The batched evaluator failed (allocation pressure is the only real
       // way): re-run the group item by item through evaluate(), which
-      // converts the throw into the historical in-slot error bytes.
+      // converts the throw into the in-slot error bytes.
       for (std::size_t k = begin; k < done; ++k)
         responses[item_of[k]] = evaluate(batch[item_of[k]]);
     }
@@ -169,31 +179,71 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
   // replay mode the admission path emits the whole virtual chain instead.
   const bool tracing = trace_ && trace_->enabled() && !trace_->virtual_clock();
 
-  // Lane split. With no armed fault injector a worker crash, stall, and
-  // transient failure are all structurally impossible (every fault branch
-  // is injector-gated), so the in-flight ledger deep copy, the per-item
-  // fault checks, and the per-item clock reads buy nothing — the fast lane
-  // drops them and evaluates group-at-a-time through answer_batch. A
-  // live-clock tracer needs per-item eval spans, so it rides the chaos
-  // lane too.
-  if (faults_ || tracing) return drain_chaos_batch(batch, flush, pop_now, tracing, failed);
+  // Fault hooks, all injector-gated: with no armed injector a crash, stall,
+  // or transient failure is structurally impossible, so the ledger copy
+  // and the per-item decisions are skipped entirely.
+  if (faults_) {
+    // Park the whole batch in the in-flight ledger BEFORE evaluating any of
+    // it: from here until the ledger is cleared after delivery, a crash can
+    // lose nothing — the watchdog re-drives exactly what was held.
+    {
+      std::lock_guard<std::mutex> lock(inflight_mutex_);
+      inflight_ = batch;
+    }
+    // Injected stall, keyed on the batch head's identity: the worker sleeps
+    // mid-drain with work parked, the heartbeat goes stale, and the watchdog
+    // marks the shard degraded. Every item still evaluates to its normal
+    // bytes afterwards.
+    const StreamItem& head = batch.front();
+    if (faults_->should_fire(core::FaultSite::kQueueStall, head.session->id(), head.slot,
+                             static_cast<std::uint64_t>(head.attempt)))
+      std::this_thread::sleep_for(std::chrono::milliseconds(faults_->config().stall_ms));
+    // Per-item decisions in batch order, before anything is evaluated.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const ItemFault fault = item_fault(*faults_, batch[i]);
+      if (fault == ItemFault::kCrash) {
+        // Simulated crash: the thread dies mid-batch, delivering and
+        // counting NOTHING. Only the item that personally triggered the
+        // crash advances its attempt, so co-batched items re-run under
+        // their unchanged fault schedule — batch composition is
+        // interleaving-dependent, their decisions must not be.
+        std::lock_guard<std::mutex> lock(inflight_mutex_);
+        inflight_[i].attempt += 1;
+        return DrainStatus::kCrashed;
+      }
+      if (fault == ItemFault::kThrow) {
+        // Injected transient failure: not evaluated, cached, or counted
+        // here — handed (attempt advanced) to the cluster for retry.
+        batch[i].attempt += 1;
+        failed.push_back(std::move(batch[i]));
+      } else {
+        if (kept != i) batch[kept] = std::move(batch[i]);
+        ++kept;
+      }
+    }
+    batch.resize(kept);
+  }
 
   evaluate_batch(batch, response_scratch_);
   const auto eval_done = std::chrono::steady_clock::now();
   const std::size_t n = batch.size();
-  const double batch_eval_us =
-      std::chrono::duration<double, std::micro>(eval_done - pop_now).count();
-  // One clock pair for the whole batch: stage histograms and the shed
-  // estimator get the batch mean per item (they are metrics, not wire
-  // bytes); the per-item wait/e2e intervals stay exact — they derive from
-  // each item's own admission timestamp.
-  const double per_item_us = batch_eval_us / static_cast<double>(n);
+  // One clock pair for the whole batch: stage histograms, the shed
+  // estimator, and eval spans get the batch mean per item (they are
+  // metrics, not wire bytes); the per-item wait/e2e intervals stay exact —
+  // they derive from each item's own admission timestamp.
+  const double per_item_us =
+      n == 0 ? 0.0
+             : std::chrono::duration<double, std::micro>(eval_done - pop_now).count() /
+                   static_cast<double>(n);
 
-  // Cache fill before delivery (matching the chaos lane's insert-then-
-  // deliver order per item). The canonical key is rebuilt into a
+  // Cache fill before delivery. The canonical key is rebuilt into a
   // worker-local buffer — cheaper than carrying a heap string through the
   // queue — and the cache copies its bytes into pre-allocated node
-  // storage, so the whole fill is heap-silent.
+  // storage, so the whole fill is heap-silent. Everything evaluated here is
+  // cache-safe (degraded responses never reach a shard): a pure function of
+  // (request, pinned epoch), stamped with the item's ADMISSION epoch — a
+  // concurrent refit's sweep clears it if the epoch moved on meanwhile.
   if (cache_ && cache_->enabled()) {
     static thread_local std::string key;
     for (std::size_t i = 0; i < n; ++i) {
@@ -204,7 +254,10 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
     }
   }
 
-  {
+  if (n > 0) {
+    // Feed the live shed estimator: EWMA of measured microseconds per
+    // request. Relaxed read-modify-write — a lost update skews an
+    // estimate, never a response.
     const double old = service_estimate_us_.load(std::memory_order_relaxed);
     service_estimate_us_.store(0.8 * old + 0.2 * per_item_us, std::memory_order_relaxed);
   }
@@ -217,7 +270,9 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
 
   // Account the batch BEFORE delivering: the final delivery may wake a
   // close()d session whose client immediately reads metrics(), and the
-  // flush that carried its responses must already be counted.
+  // flush that carried its responses must already be counted. Every popped
+  // item waited; only evaluated ones count as queries and service — the
+  // transient failures in `failed` are the failover path's to account.
   double wait_us_sum = 0.0;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -227,20 +282,73 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
     else if (flush == core::BatchFlush::kDeadline) stats_.deadline_flushes += 1;
     else if (flush == core::BatchFlush::kKicked) stats_.kick_flushes += 1;
     else stats_.close_flushes += 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double wait_us = item_wait_us(batch[i]);
-      wait_us_sum += wait_us;
-      queue_wait_us_.record(wait_us);
+    for (const std::vector<StreamItem>* items : {&batch, &failed}) {
+      for (const StreamItem& item : *items) {
+        const double wait_us = item_wait_us(item);
+        wait_us_sum += wait_us;
+        queue_wait_us_.record(wait_us);
+      }
+    }
+    for (const StreamItem& item : batch) {
       service_us_.record(per_item_us);
       e2e_us_.record(
-          std::chrono::duration<double, std::micro>(eval_done - batch[i].enqueued).count());
+          std::chrono::duration<double, std::micro>(eval_done - item.enqueued).count());
     }
   }
   {
-    const double measured_wait_us = wait_us_sum / static_cast<double>(n);
+    // EWMA over measured queue wait: live admission adds this to its
+    // backlog estimate so shedding reflects the stage the request is
+    // actually about to pay, not an end-to-end guess.
+    const double measured_wait_us = wait_us_sum / static_cast<double>(n + failed.size());
     const double old = queue_wait_estimate_us_.load(std::memory_order_relaxed);
     queue_wait_estimate_us_.store(0.8 * old + 0.2 * measured_wait_us,
                                   std::memory_order_relaxed);
+  }
+
+  // Trace spans are recorded BEFORE the corresponding session handoff: the
+  // final delivery may wake a client that immediately exports the trace,
+  // and a ring must never owe events for a request whose future has
+  // already resolved. Eval spans slice the batch's one evaluation interval
+  // in batch order; truncation keeps each inside [pop, eval_done].
+  const auto trace_req = [](const char* name, char phase, std::int64_t ts,
+                            const StreamItem& item) {
+    obs::TraceEvent e{};
+    e.name = name;
+    e.cat = "req";
+    e.phase = phase;
+    e.ts_us = ts;
+    e.stream = item.session->id();
+    e.seq = item.slot;
+    return e;
+  };
+  if (tracing) {
+    for (const std::vector<StreamItem>* items : {&batch, &failed}) {
+      for (const StreamItem& item : *items) {
+        obs::TraceEvent queue_span =
+            trace_req("queue", 'X', trace_->since_epoch_us(item.enqueued), item);
+        queue_span.dur_us = static_cast<std::int64_t>(item_wait_us(item));
+        trace_->record(queue_span);
+      }
+    }
+    const std::int64_t eval_begin_us = trace_->since_epoch_us(pop_now);
+    for (std::size_t i = 0; i < n; ++i) {
+      obs::TraceEvent eval_span = trace_req(
+          "eval", 'X',
+          eval_begin_us + static_cast<std::int64_t>(static_cast<double>(i) * per_item_us),
+          batch[i]);
+      eval_span.dur_us = static_cast<std::int64_t>(per_item_us);
+      trace_->record(eval_span);
+    }
+    obs::TraceEvent drain_span{};
+    drain_span.name = "batch-drain";
+    drain_span.cat = "shard";
+    drain_span.phase = 'X';
+    drain_span.ts_us = eval_begin_us;
+    drain_span.dur_us = trace_->now_us() - eval_begin_us;
+    drain_span.values = 2;
+    drain_span.v0 = static_cast<std::int64_t>(n + failed.size());
+    drain_span.v1 = static_cast<std::int64_t>(n);
+    trace_->record(drain_span);
   }
 
   // Delivery, grouped by session: a run of consecutive items from one
@@ -252,6 +360,10 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
     SessionState* const session = batch[i].session.get();
     std::size_t j = i + 1;
     while (j < n && batch[j].session.get() == session) ++j;
+    if (tracing) {
+      for (std::size_t k = i; k < j; ++k)
+        trace_->record(trace_req("deliver", 'i', trace_->now_us(), batch[k]));
+    }
     if (j - i == 1) {
       session->deliver(batch[i].slot, std::move(response_scratch_[i]));
     } else {
@@ -261,211 +373,10 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
     }
     i = j;
   }
-  return DrainStatus::kContinue;
-}
 
-Shard::DrainStatus Shard::drain_chaos_batch(std::vector<StreamItem>& batch,
-                                            core::BatchFlush flush,
-                                            std::chrono::steady_clock::time_point pop_now,
-                                            bool tracing,
-                                            std::vector<StreamItem>& failed) {
-  // Park the whole batch in the in-flight ledger BEFORE evaluating any of
-  // it: from here until the ledger is cleared after delivery, a crash can
-  // lose nothing — the watchdog re-drives exactly what was held.
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    inflight_ = batch;
-  }
-
-  // Injected stall, keyed on the batch head's identity: the worker sleeps
-  // mid-drain with work parked, the heartbeat goes stale, and the watchdog
-  // marks the shard degraded. Purely a liveness disturbance — every item
-  // still evaluates to its normal bytes afterwards.
-  if (faults_ &&
-      faults_->should_fire(core::FaultSite::kQueueStall, batch.front().session->id(),
-                           batch.front().slot,
-                           static_cast<std::uint64_t>(batch.front().attempt)))
-    std::this_thread::sleep_for(std::chrono::milliseconds(faults_->config().stall_ms));
-
-  // Evaluate outside any lock: responses are pure functions of
-  // (request, fitted models), and each item owns its session slot.
-  std::vector<serve::AdvisorResponse> responses(batch.size());
-  std::vector<char> transient(batch.size(), 0);
-  std::vector<double> eval_us(batch.size(), 0.0);
-  std::vector<std::int64_t> eval_begin_us(tracing ? batch.size() : 0, 0);
-  std::size_t evaluated = 0;
-  double eval_us_sum = 0.0;
-  // Chained per-item clock: one now() per item, each reading doubling as
-  // the next item's start. Cache inserts and fault checks between items
-  // land in the next item's measurement — ns-scale against µs evals, and
-  // an injected stall charges to service, never to queue wait.
-  auto mark = pop_now;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const StreamItem& item = batch[i];
-    const std::uint64_t stream = item.session->id();
-    const std::uint64_t seq = item.slot;
-    const auto attempt = static_cast<std::uint64_t>(item.attempt);
-    if (faults_ &&
-        faults_->should_fire(core::FaultSite::kWorkerCrash, stream, seq, attempt)) {
-      // Simulated crash: the thread dies mid-batch, delivering and counting
-      // NOTHING — earlier evaluations of this batch are discarded and
-      // redone on re-drive (same bytes; they are pure). Only the item that
-      // personally triggered the crash advances its attempt, so co-batched
-      // items re-run under their unchanged fault schedule — batch
-      // composition is interleaving-dependent, their decisions must not be.
-      std::lock_guard<std::mutex> lock(inflight_mutex_);
-      inflight_[i].attempt += 1;
-      return DrainStatus::kCrashed;
-    }
-    if (faults_ &&
-        faults_->should_fire(core::FaultSite::kShardEvalThrow, stream, seq, attempt)) {
-      // Injected transient failure: not delivered, not cached, not counted
-      // here — handed (attempt advanced) to the cluster for retry/failover.
-      transient[i] = 1;
-      continue;
-    }
-    responses[i] = evaluate(item);
-    const auto item_done = std::chrono::steady_clock::now();
-    eval_us[i] =
-        std::chrono::duration<double, std::micro>(item_done - mark).count();
-    eval_us_sum += eval_us[i];
-    if (tracing) eval_begin_us[i] = trace_->since_epoch_us(mark);
-    mark = item_done;
-    ++evaluated;
-    // Degraded responses never reach this path (the cluster delivers them
-    // directly), so everything evaluated here is cache-safe: a pure
-    // function of (request, pinned epoch). The entry is stamped with the
-    // item's ADMISSION epoch — a concurrent refit's invalidation sweep
-    // will clear it if the epoch moved on before this insert landed.
-    if (cache_ && cache_->enabled() && item.bundle) {
-      static thread_local std::string chaos_key;
-      canonical_request_key_into(item.request, chaos_key);
-      cache_->insert(static_cast<std::size_t>(item.corpus_index),
-                     item.bundle->epoch, chaos_key, responses[i]);
-    }
-  }
-  const auto now = std::chrono::steady_clock::now();
-
-  // Every popped item waited enqueue->pop regardless of how its
-  // evaluation went; pop_now closes the interval, computed per item in
-  // the stats pass below (arithmetic only, no further clock reads).
-  const auto item_wait_us = [&pop_now](const StreamItem& item) {
-    const double wait =
-        std::chrono::duration<double, std::micro>(pop_now - item.enqueued).count();
-    return wait < 0.0 ? 0.0 : wait;
-  };
-
-  if (evaluated > 0) {
-    // Feed the live shed estimator: EWMA of measured microseconds per
-    // request. Relaxed read-modify-write — concurrent metrics readers see a
-    // slightly stale estimate at worst.
-    const double measured_us = eval_us_sum / static_cast<double>(evaluated);
-    const double old = service_estimate_us_.load(std::memory_order_relaxed);
-    service_estimate_us_.store(0.8 * old + 0.2 * measured_us,
-                               std::memory_order_relaxed);
-  }
-  // Account the batch BEFORE delivering: the final delivery may wake a
-  // close()d session whose client immediately reads metrics(), and the
-  // flush that carried its responses must already be counted. Only
-  // delivered items count as queries; transient failures are the failover
-  // path's to account.
-  double wait_us_sum = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.queries += static_cast<long>(evaluated);
-    stats_.batches += 1;
-    if (flush == core::BatchFlush::kSize) stats_.size_flushes += 1;
-    else if (flush == core::BatchFlush::kDeadline) stats_.deadline_flushes += 1;
-    else if (flush == core::BatchFlush::kKicked) stats_.kick_flushes += 1;
-    else stats_.close_flushes += 1;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const double wait_us = item_wait_us(batch[i]);
-      wait_us_sum += wait_us;
-      queue_wait_us_.record(wait_us);
-      if (transient[i]) continue;  // the failover path's stage to account
-      service_us_.record(eval_us[i]);
-      e2e_us_.record(std::chrono::duration<double, std::micro>(
-                         now - batch[i].enqueued)
-                         .count());
-    }
-  }
-  {
-    // EWMA over measured queue wait: admission adds this to its backlog
-    // estimate so shedding reflects the stage the request is actually
-    // about to pay, not an end-to-end guess.
-    const double measured_wait_us = wait_us_sum / static_cast<double>(batch.size());
-    const double old = queue_wait_estimate_us_.load(std::memory_order_relaxed);
-    queue_wait_estimate_us_.store(0.8 * old + 0.2 * measured_wait_us,
-                                  std::memory_order_relaxed);
-  }
-
-  if (tracing) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      obs::TraceEvent queue_span{};
-      queue_span.name = "queue";
-      queue_span.cat = "req";
-      queue_span.phase = 'X';
-      queue_span.ts_us = trace_->since_epoch_us(batch[i].enqueued);
-      queue_span.dur_us = static_cast<std::int64_t>(item_wait_us(batch[i]));
-      queue_span.stream = batch[i].session->id();
-      queue_span.seq = batch[i].slot;
-      trace_->record(queue_span);
-      if (transient[i]) continue;  // redeliver() annotates the retry
-      obs::TraceEvent eval_span{};
-      eval_span.name = "eval";
-      eval_span.cat = "req";
-      eval_span.phase = 'X';
-      eval_span.ts_us = eval_begin_us[i];
-      eval_span.dur_us = static_cast<std::int64_t>(eval_us[i]);
-      eval_span.stream = batch[i].session->id();
-      eval_span.seq = batch[i].slot;
-      trace_->record(eval_span);
-    }
-  }
-
-  // The drain span and every deliver instant are recorded BEFORE the
-  // corresponding session handoff: the final delivery may wake a client
-  // that immediately exports the trace, and a ring must never owe events
-  // for a request whose future has already resolved. The drain span
-  // therefore closes at pre-delivery time — the handoffs it excludes are
-  // ns-scale against the µs evaluations it covers.
-  if (tracing) {
-    obs::TraceEvent drain_span{};
-    drain_span.name = "batch-drain";
-    drain_span.cat = "shard";
-    drain_span.phase = 'X';
-    drain_span.ts_us = trace_->since_epoch_us(pop_now);
-    drain_span.dur_us = trace_->now_us() - drain_span.ts_us;
-    drain_span.values = 2;
-    drain_span.v0 = static_cast<std::int64_t>(batch.size());
-    drain_span.v1 = static_cast<std::int64_t>(evaluated);
-    trace_->record(drain_span);
-  }
-
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (transient[i]) {
-      StreamItem item = std::move(batch[i]);
-      item.attempt += 1;
-      failed.push_back(std::move(item));
-    } else {
-      if (tracing) {
-        obs::TraceEvent delivered{};
-        delivered.name = "deliver";
-        delivered.cat = "req";
-        delivered.phase = 'i';
-        delivered.ts_us = trace_->now_us();
-        delivered.stream = batch[i].session->id();
-        delivered.seq = batch[i].slot;
-        trace_->record(delivered);
-      }
-      batch[i].session->deliver(batch[i].slot, std::move(responses[i]));
-    }
-  }
-
-  // Everything in the batch is now either delivered or owned by `failed`;
-  // a crash after this point (there is none — no fault site remains) could
-  // no longer lose work. Clear the ledger.
-  {
+  // Everything in the batch is now either delivered or owned by `failed`,
+  // and no fault site remains: clear the ledger.
+  if (faults_) {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
     inflight_.clear();
   }

@@ -1,22 +1,22 @@
 // One serving shard: a bounded core::OrderedBatchQueue the cluster's
 // admission path pushes StreamItems into, drained by a dedicated SUPERVISED
-// worker thread the shard owns (start()/stop()). Since the recalibration
-// PR, shards hold NO model state of their own: every StreamItem carries a
-// shared_ptr pin of the bundle it was admitted under plus its corpus's
-// mapping constants, so any shard can evaluate any item — placement,
-// failover, and even a mid-flight recalibration swap can never change the
-// bytes a request answers. The worker drains coalesced batches — flushed
-// on batch size, on the coalescing deadline, on a kick (a closing stream
-// flushing its in-flight tail), or on shutdown — in strict-priority/EDF
-// order and evaluates each batch through serve::answer_batch, grouped by
-// pinned (bundle, constants) pair, but an evaluation that throws becomes an
-// in-slot error
-// response (never a dead thread), an injected transient failure hands the
-// item to the cluster's failure handler for retry/failover, and a
-// (simulated) worker crash parks the undelivered batch in an in-flight
-// ledger the heartbeat watchdog re-drives after restart() — which is what
-// makes StreamSession::close() un-hangable: every admitted item is always
-// delivered by SOMEONE.
+// worker thread the shard owns (start()/stop()). Shards hold NO model state
+// of their own: every StreamItem carries a shared_ptr pin of the bundle it
+// was admitted under plus its corpus's mapping constants, so any shard can
+// evaluate any item — placement, failover, and even a mid-flight
+// recalibration swap can never change the bytes a request answers. The
+// worker drains coalesced batches — flushed on batch size, on the
+// coalescing deadline, on a kick (a closing stream flushing its in-flight
+// tail), or on shutdown — in strict-priority/EDF order, through ONE drain
+// path: each batch is evaluated by serve::answer_batch, grouped by pinned
+// (bundle, constants) pair. Fault injection and live tracing are hooks on
+// that path, not a second one: an evaluation that throws becomes an
+// in-slot error response (never a dead thread), an injected transient
+// failure hands the item to the cluster's failure handler for
+// retry/failover, and a (simulated) worker crash parks the undelivered
+// batch in an in-flight ledger the heartbeat watchdog re-drives after
+// restart() — which is what makes StreamSession::close() un-hangable:
+// every admitted item is always delivered by SOMEONE.
 #pragma once
 
 #include <atomic>
@@ -53,6 +53,13 @@ const char* shard_health_name(ShardHealth health);
 // their key's rendezvous order, or degrades them once the retry budget is
 // spent. `from_shard` is the shard that failed them.
 using FailureHandler = std::function<void(std::vector<StreamItem>&&, int from_shard)>;
+
+// The per-item fault decision, shared by the shard drain and the cluster's
+// inline re-drive so both walk the same ladder: worker crash first, then
+// eval throw. A pure function of (stream, seq, attempt), so WHERE an item
+// is tried never changes whether it fails.
+enum class ItemFault { kNone, kCrash, kThrow };
+ItemFault item_fault(core::FaultInjector& faults, const StreamItem& item);
 
 // Per-shard counters, merged into ClusterMetrics by the cluster.
 struct ShardStats {
@@ -119,9 +126,10 @@ class Shard {
   bool worker_down() const { return crashed_.load(std::memory_order_acquire); }
   // The undelivered batch a crashed worker held. Empty once re-driven.
   std::vector<StreamItem> take_inflight();
-  // True while a popped batch awaits delivery. Paired with a stale
-  // heartbeat it distinguishes "stalled mid-batch" from "idle at an empty
-  // queue" (an idle worker blocks in pop and legitimately stops beating).
+  // True while a popped batch awaits delivery (tracked only under an armed
+  // injector — the one case a worker can stall or crash mid-batch). Paired
+  // with a stale heartbeat it distinguishes "stalled mid-batch" from "idle
+  // at an empty queue" (an idle worker blocks in pop and stops beating).
   bool has_inflight() const;
   // Joins the dead thread and spawns a fresh worker over the same queue.
   // Only meaningful after worker_down(); counts are the caller's job.
@@ -156,19 +164,15 @@ class Shard {
   enum class DrainStatus { kContinue, kStop, kCrashed };
 
   void worker_loop();
+  // The one drain path: pop a coalesced batch, run the fault hooks (armed
+  // injector only: ledger parking, the head's stall, per-item crash/throw
+  // decisions in batch order), evaluate what remains, fill the cache,
+  // account, trace (live-clock recorder only), and deliver.
   DrainStatus drain_one_batch(std::vector<StreamItem>& failed);
-  // Chaos/tracing lane: the historical per-item drain — fault sites,
-  // in-flight ledger parking, per-item clock reads, and per-item trace
-  // spans. Taken only when a fault injector is armed or a live-clock
-  // tracer wants per-item spans.
-  DrainStatus drain_chaos_batch(std::vector<StreamItem>& batch, core::BatchFlush flush,
-                                std::chrono::steady_clock::time_point pop_now,
-                                bool tracing, std::vector<StreamItem>& failed);
-  // Fast-lane evaluation: groups the popped batch by its pinned
-  // (bundle, constants) pair and evaluates each group through one
-  // serve::answer_batch call against the per-shard arena scratch. An
-  // evaluation that throws falls back to the per-item evaluate() for that
-  // group, preserving the in-slot error contract.
+  // Groups the batch by its pinned (bundle, constants) pair and evaluates
+  // each group through one serve::answer_batch call against the per-shard
+  // arena scratch. An evaluation that throws falls back to the per-item
+  // evaluate() for that group, preserving the in-slot error contract.
   void evaluate_batch(std::vector<StreamItem>& batch,
                       std::vector<serve::AdvisorResponse>& responses);
 
@@ -188,9 +192,10 @@ class Shard {
 
   std::atomic<std::uint64_t> heartbeat_{0};
   std::atomic<bool> crashed_{false};
-  // The batch currently being evaluated, parked here from pop until the
-  // delivery loop finishes so a crash can never lose work. Guarded by its
-  // own mutex: the watchdog reads it while the (dead) worker cannot.
+  // The batch currently being evaluated, parked here (armed injector only)
+  // from pop until the delivery loop finishes so a crash can never lose
+  // work. Guarded by its own mutex: the watchdog reads it while the (dead)
+  // worker cannot.
   mutable std::mutex inflight_mutex_;
   std::vector<StreamItem> inflight_;
 

@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace isr::cluster {
 
@@ -39,6 +40,24 @@ std::vector<serve::AdvisorResponse> SessionState::wait_drained() {
   return std::move(responses_);
 }
 
+bool check_schedule(const AdmissionSchedule& schedule, std::string& error) {
+  std::unordered_map<std::uint64_t, std::uint64_t> next_seq;
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    const AdmissionRecord& r = schedule[i];
+    std::uint64_t& expected = next_seq[r.stream];
+    if (r.seq != expected) {
+      error = "schedule record " + std::to_string(i + 1) + " (stream " +
+              std::to_string(r.stream) + " seq " + std::to_string(r.seq) +
+              "): expected seq " + std::to_string(expected) +
+              "; each stream's seqs must run 0, 1, 2, ... in order";
+      return false;
+    }
+    ++expected;
+  }
+  error.clear();
+  return true;
+}
+
 void save_schedule(const AdmissionSchedule& schedule, std::ostream& out) {
   out << "# insitu-perf admission schedule: STREAM SEQ T_US per line\n";
   for (const AdmissionRecord& r : schedule)
@@ -71,8 +90,8 @@ bool load_schedule(std::istream& in, AdmissionSchedule& schedule, std::string& e
     rec.t_us = static_cast<std::int64_t>(t_us);
     loaded.push_back(rec);
   }
+  if (!check_schedule(loaded, error)) return false;
   schedule = std::move(loaded);
-  error.clear();
   return true;
 }
 

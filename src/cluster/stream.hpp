@@ -46,10 +46,17 @@ struct AdmissionRecord {
 
 using AdmissionSchedule = std::vector<AdmissionRecord>;
 
+// True when each stream's seqs run 0, 1, 2, ... in schedule order — the
+// shape every recording has, and the one replay needs (a per-stream gap
+// or reorder would park an admitter on a cursor that never reaches it).
+// Otherwise false, with a one-line reason in `error`.
+bool check_schedule(const AdmissionSchedule& schedule, std::string& error);
+
 // Schedule file IO for the --record/--replay CLI flags: a comment-friendly
 // text format, one "STREAM SEQ T_US" triple per line. load returns false
-// (with a one-line reason) on any malformed line — the same loud-over-
-// silent stance as the wire-format parser.
+// (with a one-line reason) on any malformed line or a schedule that fails
+// check_schedule — the same loud-over-silent stance as the wire-format
+// parser.
 void save_schedule(const AdmissionSchedule& schedule, std::ostream& out);
 bool load_schedule(std::istream& in, AdmissionSchedule& schedule, std::string& error);
 

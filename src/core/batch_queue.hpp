@@ -1,31 +1,24 @@
 // A bounded multi-producer/multi-consumer queue whose consumers pop
-// *coalesced batches*: pop_batch blocks until a full batch accumulates, the
-// coalescing deadline passes with at least one item waiting, or the queue is
-// closed. This is the serving-cluster admission primitive (src/cluster/
-// feeds each shard's worker through one), but it is deliberately generic —
-// batching-with-a-deadline is the standard latency/throughput dial for any
-// streaming consumer.
+// *coalesced batches* in a caller-supplied priority order: pop_batch blocks
+// until a full batch accumulates, the coalescing deadline passes with at
+// least one item waiting, a kick() flushes a partial batch (how a closing
+// stream gets its in-flight requests answered without waiting out the
+// deadline), or the queue is closed. This is the serving cluster's
+// admission primitive (src/cluster/ feeds each shard's worker through
+// one), but it is deliberately generic — batching-with-a-deadline is the
+// standard latency/throughput dial for any streaming consumer.
 //
-// Backpressure contract: the queue is bounded and push never blocks —
-// try_push returns false when the queue is full (or closed) and the
-// *producer* decides what to do (the cluster's producer lane drains a batch
-// itself, so a full queue converts the producer into a worker instead of
-// deadlocking a serial pool).
-//
-// OrderedBatchQueue below is the streaming-admission sibling: still bounded
-// and batch-popping, but items pop in a caller-supplied priority order
-// instead of FIFO, push *blocks* for room (admitters are client threads with
-// nothing better to do, and shedding — not helping — is the overload policy),
-// and kick() flushes a partial batch immediately (how a closing stream gets
-// its in-flight requests answered without waiting out the coalescing
-// deadline).
+// Backpressure contract: the queue is bounded; push() BLOCKS for room
+// (admitters are client threads with nothing better to do, and shedding —
+// not helping — is the overload policy), while try_push() returns false
+// when the queue is full (or closed) and leaves the decision to the
+// producer.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -37,103 +30,6 @@ namespace isr::core {
 // and empty — the consumer's stop signal).
 enum class BatchFlush { kSize, kDeadline, kKicked, kClosed, kEmpty };
 
-template <class T>
-class BatchQueue {
- public:
-  explicit BatchQueue(std::size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {}
-
-  // Enqueues one item. Returns false when the queue is full or closed; the
-  // item is genuinely untouched in that case (rvalue-reference parameter:
-  // nothing is moved until the push is known to succeed), so the caller can
-  // retry the same object after making room.
-  bool try_push(T&& item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-      if (items_.size() > max_depth_) max_depth_ = items_.size();
-    }
-    pop_cv_.notify_one();
-    return true;
-  }
-
-  // No more pushes; consumers drain what remains and then see kEmpty.
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    pop_cv_.notify_all();
-  }
-
-  // Re-arms the queue for the next burst of pushes, discarding anything
-  // still queued: leftovers can exist only when the previous burst was
-  // aborted (e.g. a producer exception), and their routing context died
-  // with it. The high-water mark persists across reopens (it describes the
-  // queue's whole lifetime).
-  void reopen() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = false;
-    items_.clear();
-  }
-
-  // Pops up to `max_items` into `out` (cleared first). Blocks until one of:
-  //   - `max_items` are waiting                      -> kSize
-  //   - `deadline` passed with >= 1 item waiting     -> kDeadline
-  //   - the queue is closed (drains what remains)    -> kClosed, or kEmpty
-  //     when nothing remained — the consumer's signal to stop.
-  // The deadline clock starts when the first item becomes available, not at
-  // the call, so an idle consumer parked on an empty open queue waits
-  // indefinitely without spinning.
-  BatchFlush pop_batch(std::size_t max_items, std::chrono::nanoseconds deadline,
-                       std::vector<T>& out) {
-    out.clear();
-    if (max_items == 0) max_items = 1;
-    std::unique_lock<std::mutex> lock(mutex_);
-    pop_cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    BatchFlush reason;
-    if (items_.size() >= max_items) {
-      reason = BatchFlush::kSize;
-    } else if (closed_) {
-      reason = items_.empty() ? BatchFlush::kEmpty : BatchFlush::kClosed;
-    } else {
-      const auto flush_at = std::chrono::steady_clock::now() + deadline;
-      pop_cv_.wait_until(lock, flush_at,
-                         [&] { return closed_ || items_.size() >= max_items; });
-      if (items_.size() >= max_items) reason = BatchFlush::kSize;
-      else if (closed_) reason = items_.empty() ? BatchFlush::kEmpty : BatchFlush::kClosed;
-      else reason = BatchFlush::kDeadline;
-    }
-    const std::size_t take = items_.size() < max_items ? items_.size() : max_items;
-    out.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-    return reason;
-  }
-
-  std::size_t depth() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
-
-  // Deepest the queue has ever been — the backpressure indicator the
-  // cluster's metrics report.
-  std::size_t max_depth() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return max_depth_;
-  }
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable pop_cv_;
-  std::deque<T> items_;
-  std::size_t max_depth_ = 0;
-  bool closed_ = false;
-};
-
 // A bounded MPMC batch queue that pops in a caller-supplied order rather
 // than FIFO: `Before(a, b)` returns true when `a` must be served before
 // `b` (the cluster uses strict priority class, then earliest deadline,
@@ -142,15 +38,9 @@ class BatchQueue {
 // which is what makes concurrent admitters deterministic once each item
 // carries a total-order key.
 //
-// Contracts that differ from BatchQueue above:
-//   - push() BLOCKS until the queue has room (or returns false once
-//     closed). Admitters are client threads; the overload policy is the
-//     cluster's admission-time shedding, not producer help-draining.
-//   - kick() flushes whatever is queued to the next pop_batch as a partial
-//     batch (kKicked) without waiting out the coalescing deadline — how a
-//     closing stream's in-flight tail gets answered promptly. A kick on an
-//     empty queue is remembered until items arrive or the queue drains.
-//   - No reopen(): the streaming queue lives as long as its shard worker.
+// kick() flushes whatever is queued to the next pop_batch as a partial
+// batch (kKicked); a kick on an empty queue is remembered until items
+// arrive or the queue drains.
 //
 // Storage is a slot pool: items live in fixed slots reused across their
 // lifetime (a moved-out slot keeps its strings' heap capacity for the next
@@ -184,7 +74,10 @@ class OrderedBatchQueue {
     return true;
   }
 
-  // Non-blocking variant, same failure semantics as BatchQueue::try_push.
+  // Non-blocking variant: returns false when the queue is full or closed.
+  // The item is genuinely untouched then (rvalue-reference parameter:
+  // nothing is moved until the push is known to succeed), so the caller
+  // can retry the same object after making room.
   bool try_push(T&& item) {
     bool wake;
     {
@@ -219,9 +112,15 @@ class OrderedBatchQueue {
   }
 
   // Pops up to `max_items` into `out` (cleared first), best-first per
-  // `Before`. Blocks until a full batch, the coalescing deadline (clock
-  // starts at first availability), a kick, or close — same shape as
-  // BatchQueue::pop_batch with kKicked added.
+  // `Before`. Blocks until one of:
+  //   - `max_items` are waiting                      -> kSize
+  //   - `deadline` passed with >= 1 item waiting     -> kDeadline
+  //   - a kick with >= 1 item waiting                -> kKicked
+  //   - the queue is closed (drains what remains)    -> kClosed, or kEmpty
+  //     when nothing remained — the consumer's signal to stop.
+  // The deadline clock starts when the first item becomes available, not
+  // at the call, so an idle consumer parked on an empty open queue waits
+  // indefinitely without spinning.
   BatchFlush pop_batch(std::size_t max_items, std::chrono::nanoseconds deadline,
                        std::vector<T>& out) {
     out.clear();

@@ -6,6 +6,10 @@
 
 #include "core/env.hpp"
 
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace isr::core {
 
 int default_thread_count() {
@@ -47,6 +51,13 @@ ThreadPool::~ThreadPool() {
   }
   work_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
+#if defined(__SANITIZE_THREAD__)
+  // std::mutex has a trivial destructor here, so ThreadSanitizer never
+  // sees this mutex die. Pools live on the stack (run_study), and a later
+  // object's mutex in the same stack slot would inherit this one's
+  // lock-order history — a false lock-order-inversion report. Say so.
+  __tsan_mutex_destroy(&mutex_, 0);
+#endif
 }
 
 void ThreadPool::unlist(Loop& loop) {

@@ -1,11 +1,10 @@
 // Tests for the sharded serving cluster: router partition stability,
-// LRU response-cache behavior, queue coalescing (size / deadline / close
-// flushes), and — the load-bearing contract — response byte-identity
-// across shard counts, thread counts, and cache states, with exactly one
-// registry fit per distinct calibration corpus.
+// LRU response-cache behavior, and — the load-bearing contract — response
+// byte-identity across shard counts and cache states, with exactly one
+// registry fit per distinct calibration corpus. (The shard queue's flush
+// and ordering tests live in test_stream.)
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,7 +15,6 @@
 #include "cluster/cluster.hpp"
 #include "cluster/metrics.hpp"
 #include "cluster/router.hpp"
-#include "core/batch_queue.hpp"
 #include "serve/jsonl.hpp"
 #include "serve/registry.hpp"
 
@@ -44,11 +42,10 @@ model::StudyConfig tiny_calibration() {
   return cfg;
 }
 
-ClusterConfig tiny_cluster_config(int shards, int threads, std::size_t cache_entries) {
+ClusterConfig tiny_cluster_config(int shards, std::size_t cache_entries) {
   ClusterConfig cfg;
   cfg.service.calibration = tiny_calibration();
   cfg.shards = shards;
-  cfg.threads = threads;
   cfg.cache_entries = cache_entries;
   cfg.batch_size = 4;  // small, so multi-batch coalescing is exercised
   return cfg;
@@ -339,91 +336,6 @@ TEST(ResponseCacheTest, EpochScopesHitsAndInvalidation) {
   EXPECT_TRUE(cache.lookup(1, 1, "c", out));    // partition 1 untouched
 }
 
-// --- Batch queue ------------------------------------------------------------
-
-TEST(BatchQueueTest, SizeFlushAtBatchSize) {
-  core::BatchQueue<int> q(16);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.try_push(std::move(i)));
-  std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(4, std::chrono::seconds(10), batch), core::BatchFlush::kSize);
-  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(q.depth(), 4u);
-  EXPECT_EQ(q.max_depth(), 8u);
-}
-
-TEST(BatchQueueTest, DeadlineFlushesPartialBatch) {
-  core::BatchQueue<int> q(16);
-  int v = 7;
-  EXPECT_TRUE(q.try_push(std::move(v)));
-  std::vector<int> batch;
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(q.pop_batch(8, std::chrono::milliseconds(20), batch),
-            core::BatchFlush::kDeadline);
-  const auto waited = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(batch, std::vector<int>{7});
-  EXPECT_GE(waited, std::chrono::milliseconds(15));  // really waited the deadline out
-}
-
-TEST(BatchQueueTest, CloseDrainsThenSignalsEmpty) {
-  core::BatchQueue<int> q(16);
-  int a = 1, b = 2;
-  EXPECT_TRUE(q.try_push(std::move(a)));
-  EXPECT_TRUE(q.try_push(std::move(b)));
-  q.close();
-  int c = 3;
-  EXPECT_FALSE(q.try_push(std::move(c)));  // closed: no more admissions
-  std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(8, std::chrono::seconds(10), batch), core::BatchFlush::kClosed);
-  EXPECT_EQ(batch.size(), 2u);
-  EXPECT_EQ(q.pop_batch(8, std::chrono::seconds(10), batch), core::BatchFlush::kEmpty);
-  EXPECT_TRUE(batch.empty());
-}
-
-TEST(BatchQueueTest, BoundedRejectsWhenFull) {
-  core::BatchQueue<int> q(2);
-  int a = 1, b = 2, c = 3;
-  EXPECT_TRUE(q.try_push(std::move(a)));
-  EXPECT_TRUE(q.try_push(std::move(b)));
-  EXPECT_FALSE(q.try_push(std::move(c)));  // full; c stays with the caller
-  std::vector<int> batch;
-  q.pop_batch(1, std::chrono::seconds(10), batch);
-  EXPECT_TRUE(q.try_push(std::move(c)));  // room again
-}
-
-TEST(BatchQueueTest, ReopenDiscardsLeftoversFromAnAbortedBurst) {
-  // Items stranded by an aborted burst (producer exception) must not leak
-  // into the next burst — their routing context died with the old batch.
-  core::BatchQueue<int> q(8);
-  int a = 1, b = 2;
-  q.try_push(std::move(a));
-  q.try_push(std::move(b));
-  q.close();
-  q.reopen();
-  EXPECT_EQ(q.depth(), 0u);
-  int c = 3;
-  EXPECT_TRUE(q.try_push(std::move(c)));
-  q.close();
-  std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(8, std::chrono::seconds(10), batch), core::BatchFlush::kClosed);
-  EXPECT_EQ(batch, std::vector<int>{3});
-}
-
-TEST(BatchQueueTest, WakesABlockedConsumerOnPush) {
-  core::BatchQueue<int> q(4);
-  std::vector<int> batch;
-  std::thread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    int v = 42;
-    q.try_push(std::move(v));
-  });
-  // Blocks on the empty open queue until the producer's push arrives; the
-  // deadline clock starts at first availability, so this returns promptly.
-  EXPECT_EQ(q.pop_batch(8, std::chrono::milliseconds(1), batch),
-            core::BatchFlush::kDeadline);
-  EXPECT_EQ(batch, std::vector<int>{42});
-  producer.join();
-}
-
 // --- Cluster determinism contract -------------------------------------------
 
 // One registry fit shared by every cluster in the suite: the replication
@@ -443,30 +355,28 @@ std::shared_ptr<serve::ModelRegistry> ClusterFixture::primary_;
 TEST_F(ClusterFixture, NShardResponsesIdenticalToOneShardSerial) {
   const std::vector<AdvisorRequest> requests = mixed_requests();
 
-  ServingCluster reference(tiny_cluster_config(1, 1, 0), primary_);
+  ServingCluster reference(tiny_cluster_config(1, 0), primary_);
   const std::vector<AdvisorResponse> expected = reference.serve_batch(requests);
   ASSERT_EQ(expected.size(), requests.size());
 
   for (const int shards : {2, 3, 4}) {
-    for (const int threads : {1, 3, 4}) {
-      ServingCluster cluster(tiny_cluster_config(shards, threads, 0), primary_);
-      const std::vector<AdvisorResponse> got = cluster.serve_batch(requests);
-      ASSERT_EQ(got.size(), expected.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_TRUE(serve::responses_identical(expected[i], got[i]))
-            << "shards " << shards << " threads " << threads << " slot " << i;
-        EXPECT_EQ(serve::to_jsonl(expected[i]), serve::to_jsonl(got[i]))
-            << "shards " << shards << " threads " << threads << " slot " << i;
-      }
-      // Replication, not refitting: the suite-wide fit count stays 1.
-      EXPECT_EQ(cluster.registry_fits(), 1);
+    ServingCluster cluster(tiny_cluster_config(shards, 0), primary_);
+    const std::vector<AdvisorResponse> got = cluster.serve_batch(requests);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_TRUE(serve::responses_identical(expected[i], got[i]))
+          << "shards " << shards << " slot " << i;
+      EXPECT_EQ(serve::to_jsonl(expected[i]), serve::to_jsonl(got[i]))
+          << "shards " << shards << " slot " << i;
     }
+    // Replication, not refitting: the suite-wide fit count stays 1.
+    EXPECT_EQ(cluster.registry_fits(), 1);
   }
 }
 
 TEST_F(ClusterFixture, CacheHitsAreByteIdenticalToMisses) {
   const std::vector<AdvisorRequest> requests = mixed_requests();
-  ServingCluster cluster(tiny_cluster_config(3, 4, 256), primary_);
+  ServingCluster cluster(tiny_cluster_config(3, 256), primary_);
 
   const std::vector<AdvisorResponse> cold = cluster.serve_batch(requests);  // all misses
   const std::vector<AdvisorResponse> warm = cluster.serve_batch(requests);  // all hits
@@ -491,7 +401,7 @@ TEST_F(ClusterFixture, CacheHitsAcrossDeadlinesAndPriorities) {
   // The canonical key excludes the QoS fields, and admission checks the
   // cache BEFORE the deadline: a hurried twin of a cached request gets the
   // cached answer (byte-identical) instead of an evaluation — or a shed.
-  ServingCluster cluster(tiny_cluster_config(2, 2, 64), primary_);
+  ServingCluster cluster(tiny_cluster_config(2, 64), primary_);
   AdvisorRequest relaxed;
   relaxed.arch = "CPU1";
   relaxed.image_edge = 256;
@@ -515,13 +425,13 @@ TEST_F(ClusterFixture, BackpressureTinyQueueStillCorrect) {
   // A 2-deep queue against a 25-request batch keeps admission blocked on
   // backpressure constantly — responses must still be identical.
   const std::vector<AdvisorRequest> requests = mixed_requests();
-  ClusterConfig config = tiny_cluster_config(2, 1, 0);  // serial pool: worst case
+  ClusterConfig config = tiny_cluster_config(2, 0);
   config.queue_capacity = 2;
   config.batch_size = 2;
   ServingCluster cluster(std::move(config), primary_);
   const std::vector<AdvisorResponse> got = cluster.serve_batch(requests);
 
-  ServingCluster reference(tiny_cluster_config(1, 1, 0), primary_);
+  ServingCluster reference(tiny_cluster_config(1, 0), primary_);
   const std::vector<AdvisorResponse> expected = reference.serve_batch(requests);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i)
@@ -530,7 +440,7 @@ TEST_F(ClusterFixture, BackpressureTinyQueueStillCorrect) {
 }
 
 TEST_F(ClusterFixture, MetricsJsonLineHasTheDocumentedShape)  {
-  ServingCluster cluster(tiny_cluster_config(2, 2, 64), primary_);
+  ServingCluster cluster(tiny_cluster_config(2, 64), primary_);
   cluster.serve_batch(mixed_requests());
   const std::string line = cluster.metrics().to_jsonl();
   for (const char* key :
@@ -551,7 +461,7 @@ TEST_F(ClusterFixture, MetricsJsonLineHasTheDocumentedShape)  {
 TEST_F(ClusterFixture, JsonlFrontEndRoutesThroughTheCluster) {
   // The same wiring example_feasibility_advisor --serve uses: run_jsonl
   // with the cluster's serve_batch as the batch handler.
-  ServingCluster cluster(tiny_cluster_config(2, 2, 64), primary_);
+  ServingCluster cluster(tiny_cluster_config(2, 64), primary_);
   std::istringstream in(
       "{\"arch\":\"CPU1\",\"renderer\":\"raytrace\",\"image_edge\":256}\n"
       "garbage\n"
@@ -576,10 +486,10 @@ TEST_F(ClusterFixture, ConcurrentServeBatchCallersGetCorrectResponses) {
   // serve_batch serializes overlapping batches internally; four threads
   // hammering one cluster must each get the full, correct response vector.
   const std::vector<AdvisorRequest> requests = mixed_requests();
-  ServingCluster reference(tiny_cluster_config(1, 1, 0), primary_);
+  ServingCluster reference(tiny_cluster_config(1, 0), primary_);
   const std::vector<AdvisorResponse> expected = reference.serve_batch(requests);
 
-  ServingCluster cluster(tiny_cluster_config(2, 2, 64), primary_);
+  ServingCluster cluster(tiny_cluster_config(2, 64), primary_);
   std::vector<std::vector<AdvisorResponse>> got(4);
   std::vector<std::thread> callers;
   for (int t = 0; t < 4; ++t)
@@ -597,7 +507,7 @@ TEST_F(ClusterFixture, ConcurrentServeBatchCallersGetCorrectResponses) {
 }
 
 TEST(ClusterTest, EmptyBatchDoesNotTriggerCalibration) {
-  ServingCluster cluster(tiny_cluster_config(4, 2, 64));
+  ServingCluster cluster(tiny_cluster_config(4, 64));
   EXPECT_TRUE(cluster.serve_batch({}).empty());
   EXPECT_EQ(cluster.registry_fits(), 0);
 }
@@ -612,8 +522,8 @@ model::StudyConfig tiny_calibration_b() {
   return cfg;
 }
 
-ClusterConfig two_corpus_config(int shards, int threads, std::size_t cache_entries) {
-  ClusterConfig cfg = tiny_cluster_config(shards, threads, cache_entries);
+ClusterConfig two_corpus_config(int shards, std::size_t cache_entries) {
+  ClusterConfig cfg = tiny_cluster_config(shards, cache_entries);
   CorpusConfig alt;
   alt.name = "alt";
   alt.service.calibration = tiny_calibration_b();
@@ -635,7 +545,7 @@ std::vector<AdvisorRequest> two_corpus_requests() {
 }
 
 TEST_F(ClusterFixture, UnknownCorpusSelectorGetsInSlotError) {
-  ServingCluster cluster(tiny_cluster_config(2, 2, 0), primary_);
+  ServingCluster cluster(tiny_cluster_config(2, 0), primary_);
   std::vector<AdvisorRequest> requests(3);
   requests[1].corpus = "nope";
   const std::vector<AdvisorResponse> responses = cluster.serve_batch(requests);
@@ -663,14 +573,14 @@ TEST(MultiCorpusTest, TwoFingerprintsFitExactlyTwiceAtAnyShardCount) {
   const auto primary = std::make_shared<serve::ModelRegistry>();
   const std::vector<AdvisorRequest> requests = two_corpus_requests();
 
-  ServingCluster reference(two_corpus_config(1, 1, 0), primary);
+  ServingCluster reference(two_corpus_config(1, 0), primary);
   EXPECT_NE(reference.corpus_fingerprint(""), reference.corpus_fingerprint("alt"));
   EXPECT_EQ(reference.corpora(), 2);
   const std::vector<AdvisorResponse> expected = reference.serve_batch(requests);
   EXPECT_EQ(reference.registry_fits(), 2);
 
   for (const int shards : {2, 3, 4}) {
-    ServingCluster cluster(two_corpus_config(shards, 3, 0), primary);
+    ServingCluster cluster(two_corpus_config(shards, 0), primary);
     const std::vector<AdvisorResponse> got = cluster.serve_batch(requests);
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -706,7 +616,7 @@ TEST(MultiCorpusTest, CacheEntriesNeverCollideAcrossCorpora) {
   // byte-identical to the cold pass.
   const auto primary = std::make_shared<serve::ModelRegistry>();
   const std::vector<AdvisorRequest> requests = two_corpus_requests();
-  ServingCluster cluster(two_corpus_config(3, 3, 512), primary);
+  ServingCluster cluster(two_corpus_config(3, 512), primary);
   const std::vector<AdvisorResponse> cold = cluster.serve_batch(requests);
   const std::vector<AdvisorResponse> warm = cluster.serve_batch(requests);
   ASSERT_EQ(cold.size(), warm.size());
@@ -728,7 +638,7 @@ TEST(MultiCorpusTest, OneCorpusFloodCannotEvictAnotherCorpusEntries) {
   // per corpus, so a flood of distinct default-corpus requests — more than
   // the ENTIRE cache holds — cannot push out "alt"'s warm entries.
   const auto primary = std::make_shared<serve::ModelRegistry>();
-  ServingCluster cluster(two_corpus_config(2, 2, 64), primary);
+  ServingCluster cluster(two_corpus_config(2, 64), primary);
   AdvisorRequest alt_a, alt_b;
   alt_a.corpus = "alt";
   alt_a.image_edge = 256;
@@ -752,7 +662,7 @@ TEST(MultiCorpusTest, OneCorpusFloodCannotEvictAnotherCorpusEntries) {
 }
 
 TEST(MultiCorpusTest, ReservedDuplicateAndEmptyCorpusNamesAreIgnored) {
-  ClusterConfig cfg = two_corpus_config(2, 1, 0);
+  ClusterConfig cfg = two_corpus_config(2, 0);
   CorpusConfig dup;  // duplicate of "alt" with a different calibration
   dup.name = "alt";
   dup.service.calibration = tiny_calibration();
@@ -775,7 +685,7 @@ TEST(MultiCorpusTest, SharedCalibrationDistinctConstantsStaySeparate) {
   // Two corpora over ONE calibration (one fit) that differ only in mapping
   // constants: the replica key covers the constants, so each corpus's
   // requests evaluate under its own constants — not the first adopter's.
-  ClusterConfig cfg = tiny_cluster_config(2, 2, 0);
+  ClusterConfig cfg = tiny_cluster_config(2, 0);
   CorpusConfig dense;
   dense.name = "dense";
   dense.service.calibration = tiny_calibration();  // same fingerprint

@@ -7,16 +7,20 @@
 // retries that end in explicit degraded responses, fit failures served
 // degraded instead of crashing boot, and the determinism contract: a fixed
 // fault seed reproduces the same degraded bytes on a fresh cluster, and a
-// disarmed injector leaves every byte identical to a fault-free build.
+// disarmed injector leaves every byte identical to a fault-free build —
+// with a live tracer on the same drain path, too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -25,6 +29,7 @@
 #include "cluster/stream.hpp"
 #include "core/batch_queue.hpp"
 #include "core/fault.hpp"
+#include "obs/trace.hpp"
 #include "serve/advisor.hpp"
 #include "serve/registry.hpp"
 
@@ -491,6 +496,99 @@ TEST_F(FaultClusterFixture, QueueStallIsSurvivedWithNormalResponses) {
   const ClusterMetrics m = cluster.metrics();
   EXPECT_GE(m.faults_injected, 1);
   EXPECT_EQ(m.degraded_queries, 0);
+}
+
+// One request-lifecycle event read back from the Chrome trace export.
+struct TracedEvent {
+  std::string name;
+  long long ts = 0;
+  long long dur = 0;
+};
+
+// Groups the exported "req" events by (stream, seq). The export writes
+// one flat object per event in a fixed key order (obs/trace.cpp), so a
+// key search per event is enough — no JSON library needed.
+std::map<std::pair<long long, long long>, std::vector<TracedEvent>> request_chains(
+    const std::string& json) {
+  std::map<std::pair<long long, long long>, std::vector<TracedEvent>> chains;
+  const auto number = [](const std::string& ev, const char* key) {
+    const std::size_t at = ev.find(key);
+    return at == std::string::npos ? 0LL
+                                   : std::strtoll(ev.c_str() + at + std::strlen(key),
+                                                  nullptr, 10);
+  };
+  for (std::size_t pos = json.find("{\"name\":\""); pos != std::string::npos;
+       pos = json.find("{\"name\":\"", pos + 1)) {
+    const std::string ev = json.substr(pos, json.find("}}", pos) - pos);
+    if (ev.find("\"cat\":\"req\"") == std::string::npos) continue;
+    TracedEvent e;
+    e.name = ev.substr(9, ev.find('"', 9) - 9);
+    e.ts = number(ev, "\"ts\":");
+    e.dur = number(ev, "\"dur\":");
+    chains[{number(ev, "\"stream\":"), number(ev, "\"seq\":")}].push_back(e);
+  }
+  return chains;
+}
+
+TEST_F(FaultClusterFixture, FaultHooksAndLiveTracingShareTheOneDrainPath) {
+  // Eval throws at a partial rate plus worker crashes, with a live tracer
+  // on the same drain: tracing must not move a byte against the same-seed
+  // run without one, and every traced request's chain must be whole — one
+  // admit, one terminal, no queue/eval span outliving the terminal (the
+  // scripts/check_trace.py chain rules).
+  constexpr int kRequests = 32;
+  const std::vector<AdvisorRequest> requests = workload(kRequests);
+  const std::uint32_t sites =
+      site_mask(FaultSite::kShardEvalThrow) | site_mask(FaultSite::kWorkerCrash);
+  const auto run = [&](obs::TraceRecorder* trace, ClusterMetrics& metrics) {
+    ClusterConfig config = chaos_config(2, 777, 0.3, sites);
+    config.trace = trace;
+    ServingCluster cluster(std::move(config), primary_);
+    std::vector<AdvisorResponse> responses = run_serial(cluster, requests);
+    metrics = cluster.metrics();
+    return responses;
+  };
+  ClusterMetrics untraced_metrics, traced_metrics;
+  const std::vector<AdvisorResponse> untraced = run(nullptr, untraced_metrics);
+  obs::TraceRecorder tracer;
+  tracer.enable();
+  const std::vector<AdvisorResponse> traced = run(&tracer, traced_metrics);
+
+  ASSERT_EQ(untraced.size(), static_cast<std::size_t>(kRequests));
+  ASSERT_EQ(traced.size(), untraced.size());
+  for (std::size_t i = 0; i < traced.size(); ++i)
+    EXPECT_EQ(serve::to_jsonl(untraced[i]), serve::to_jsonl(traced[i])) << "slot " << i;
+  // Both hooks really fired on the traced run.
+  EXPECT_GE(traced_metrics.worker_restarts, 1);
+  EXPECT_GE(traced_metrics.retries, 1);
+  EXPECT_EQ(tracer.dropped(), 0u);
+
+  const auto chains = request_chains(tracer.chrome_trace_json());
+  EXPECT_EQ(chains.size(), static_cast<std::size_t>(kRequests));
+  for (const auto& [key, events] : chains) {
+    const std::string label =
+        "stream " + std::to_string(key.first) + " seq " + std::to_string(key.second);
+    int admits = 0;
+    int terminals = 0;
+    long long admit_ts = 0;
+    long long end_ts = 0;
+    long long first_ts = std::numeric_limits<long long>::max();
+    for (const TracedEvent& e : events) {
+      first_ts = std::min(first_ts, e.ts);
+      if (e.name == "admit") {
+        ++admits;
+        admit_ts = e.ts;
+      } else if (e.name == "deliver" || e.name == "shed") {
+        ++terminals;
+        end_ts = e.ts;
+      }
+    }
+    EXPECT_EQ(admits, 1) << label;
+    EXPECT_EQ(terminals, 1) << label;
+    EXPECT_EQ(admit_ts, first_ts) << label << ": admit is not the earliest event";
+    for (const TracedEvent& e : events)
+      EXPECT_LE(e.ts + e.dur, end_ts) << label << ": " << e.name << " outlives its terminal";
+  }
 }
 
 }  // namespace

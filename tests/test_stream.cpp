@@ -2,8 +2,10 @@
 // scheduling order (strict priority, EDF within a class, admission-order
 // tiebreak), blocking bounded admission, kick flushes, session lifecycle
 // (close flushes in-flight requests; submit-after-close throws), replay-
-// mode byte-identity under concurrent producers, deterministic shedding
-// under a replayed 2x overload, metrics readability during live streams,
+// mode byte-identity under concurrent producers, truncated and reordered
+// replay schedules (answered in-slot / rejected at load, never a hang),
+// deterministic shedding under a replayed 2x overload, metrics
+// readability during live streams,
 // and a seeded randomized-interleaving fuzz loop (the TSan CI job's
 // stress surface — every failure prints its seed).
 #include <gtest/gtest.h>
@@ -11,8 +13,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -126,6 +130,74 @@ TEST(OrderedQueueTest, BlockingPushWaitsForRoomAndFailsOnClose) {
 
   queue.close();
   EXPECT_FALSE(queue.push(keyed_item(1, 40, 3)));  // closed: refused, loudly
+}
+
+// The flush contract on plain ints: std::less serves the smallest first,
+// so ascending pushes pop in push order.
+using IntQueue = core::OrderedBatchQueue<int, std::less<int>>;
+
+TEST(OrderedQueueTest, SizeFlushAtBatchSize) {
+  IntQueue q(16);
+  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.try_push(std::move(i)));
+  std::vector<int> batch;
+  EXPECT_EQ(q.pop_batch(4, std::chrono::seconds(10), batch), core::BatchFlush::kSize);
+  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(q.depth(), 4u);
+  EXPECT_EQ(q.max_depth(), 8u);
+}
+
+TEST(OrderedQueueTest, DeadlineFlushesPartialBatch) {
+  IntQueue q(16);
+  int v = 7;
+  EXPECT_TRUE(q.try_push(std::move(v)));
+  std::vector<int> batch;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(q.pop_batch(8, std::chrono::milliseconds(20), batch),
+            core::BatchFlush::kDeadline);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(batch, std::vector<int>{7});
+  EXPECT_GE(waited, std::chrono::milliseconds(15));  // really waited the deadline out
+}
+
+TEST(OrderedQueueTest, CloseDrainsThenSignalsEmpty) {
+  IntQueue q(16);
+  int a = 1, b = 2;
+  EXPECT_TRUE(q.try_push(std::move(a)));
+  EXPECT_TRUE(q.try_push(std::move(b)));
+  q.close();
+  int c = 3;
+  EXPECT_FALSE(q.try_push(std::move(c)));  // closed: no more admissions
+  std::vector<int> batch;
+  EXPECT_EQ(q.pop_batch(8, std::chrono::seconds(10), batch), core::BatchFlush::kClosed);
+  EXPECT_EQ(batch.size(), 2u);
+  EXPECT_EQ(q.pop_batch(8, std::chrono::seconds(10), batch), core::BatchFlush::kEmpty);
+  EXPECT_TRUE(batch.empty());
+}
+
+TEST(OrderedQueueTest, TryPushRejectsWhenFull) {
+  IntQueue q(2);
+  int a = 1, b = 2, c = 3;
+  EXPECT_TRUE(q.try_push(std::move(a)));
+  EXPECT_TRUE(q.try_push(std::move(b)));
+  EXPECT_FALSE(q.try_push(std::move(c)));  // full; c stays with the caller
+  std::vector<int> batch;
+  q.pop_batch(1, std::chrono::seconds(10), batch);
+  EXPECT_TRUE(q.try_push(std::move(c)));  // room again
+}
+
+TEST(OrderedQueueTest, PushWakesABlockedConsumer) {
+  IntQueue q(4);
+  std::vector<int> batch;
+  std::thread producer([&q] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    q.push(42);
+  });
+  // Blocks on the empty open queue until the producer's push arrives; the
+  // deadline clock starts at first availability, so this returns promptly.
+  EXPECT_EQ(q.pop_batch(8, std::chrono::milliseconds(1), batch),
+            core::BatchFlush::kDeadline);
+  EXPECT_EQ(batch, std::vector<int>{42});
+  producer.join();
 }
 
 // --- Admission schedules ----------------------------------------------------
@@ -247,6 +319,45 @@ TEST_F(StreamFixture, ReplayReproducesConcurrentProducersByteIdentically) {
     }
   }
   EXPECT_EQ(recorder.registry_fits(), 1);  // replicas adopted, never refitted
+}
+
+TEST_F(StreamFixture, TruncatedReplayAnswersTheUnscheduledTailInSlot) {
+  // A recording with its last record cut: the replayed session must still
+  // close with every slot answered — the scheduled ones with the recorded
+  // bytes, the unscheduled one with an in-slot error instead of a throw.
+  const std::vector<AdvisorRequest> requests = stream_requests(0, 3);
+  ServingCluster recorder(stream_config(2, 0), primary_);
+  recorder.enable_recording();
+  const std::vector<AdvisorResponse> recorded = recorder.serve_batch(requests);
+  AdmissionSchedule schedule = recorder.take_recording();
+  ASSERT_EQ(schedule.size(), 3u);
+  schedule.pop_back();
+
+  ServingCluster replayer(stream_config(2, 0), primary_);
+  replayer.begin_replay(schedule);
+  const std::vector<AdvisorResponse> replayed = replayer.serve_batch(requests);
+  ASSERT_EQ(replayed.size(), 3u);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_EQ(serve::to_jsonl(recorded[i]), serve::to_jsonl(replayed[i])) << "slot " << i;
+  EXPECT_EQ(replayed[2].status, AdvisorResponse::Status::kError);
+  EXPECT_EQ(replayed[2].error, "replay: submission not in the recording");
+}
+
+TEST_F(StreamFixture, ReorderedScheduleIsRejectedAtLoad) {
+  // Per-stream seqs out of order (0, 2, 1) would park the admitter of
+  // seq 1 on a cursor that never reaches it; both entry points refuse such
+  // a schedule up front.
+  std::istringstream in("0 0 10\n0 2 12\n0 1 15\n");
+  AdmissionSchedule loaded;
+  std::string error;
+  EXPECT_FALSE(load_schedule(in, loaded, error));
+  EXPECT_NE(error.find("record 2"), std::string::npos) << error;
+  EXPECT_EQ(error.find('\n'), std::string::npos) << "one-line reason: " << error;
+
+  ServingCluster cluster(stream_config(2, 0), primary_);
+  EXPECT_THROW(cluster.begin_replay({{0, 0, 10}, {0, 2, 12}, {0, 1, 15}}),
+               std::invalid_argument);
+  EXPECT_THROW(cluster.begin_replay({{1, 1, 10}}), std::invalid_argument);
 }
 
 TEST_F(StreamFixture, PriorityFloodDoesNotStarveOrDropUrgentWork) {
