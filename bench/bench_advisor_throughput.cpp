@@ -1,27 +1,27 @@
-// Advisor-service throughput (beyond the paper): answers one fixed batch of
-// §5.9 feasibility queries twice — serially (threads=1) and across the
-// whole machine (ISR_THREADS or all hardware threads) — verifies the two
-// response vectors are byte-identical, and reports queries/sec. Both
-// services share one ModelRegistry, so calibration is fitted exactly once
-// and the second service's first query exercises the cache-hit path.
+// Advisor evaluation throughput (beyond the paper): answers one fixed batch
+// of §5.9 feasibility queries through serve::answer_batch — the evaluator
+// every serving-cluster shard runs — with one reused scratch, and reports
+// queries/sec (best of five passes), plus the wire serializer in its
+// reuse-buffer and allocating forms. The models come from a ModelRegistry,
+// fitted exactly once outside the timed region.
 //
 // The final line is machine-readable JSON (prefix "JSON ") so CI can track
 // the perf trajectory across PRs:
-//   JSON {"bench":"advisor_throughput","queries":...,"threads":...,
+//   JSON {"bench":"advisor_throughput","queries":...,
 //         "calibration_seconds":...,"corpus_observations":...,
-//         "registry_fits":1,"serial_seconds":...,"parallel_seconds":...,
-//         "qps_serial":...,"qps_parallel":...,"speedup":...,
-//         "identical":true}
-// Exits nonzero when the batched responses diverge from the serial ones.
+//         "registry_fits":1,"serial_seconds":...,"qps_serial":...,
+//         "qps_serialize_reuse":...,"qps_serialize_alloc":...,
+//         "serialize_bytes_per_line":...,"identical":true}
+// Exits nonzero when the whole-batch responses diverge from the same
+// requests answered in 64-item chunks, the registry fitted more than once,
+// or any query failed.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
-#include "core/thread_pool.hpp"
 #include "serve/advisor.hpp"
 
 using namespace isr;
@@ -32,7 +32,7 @@ double seconds_since(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-serve::ServiceConfig service_config(int threads) {
+serve::ServiceConfig service_config() {
   serve::ServiceConfig cfg;
   // Fixed calibration shape; only the sizes follow ISR_BENCH_SCALE so the
   // smoke run stays short and the nightly paper-scale run is meaningful.
@@ -44,7 +44,8 @@ serve::ServiceConfig service_config(int threads) {
   // singular and every rasterize query an error.
   cfg.calibration.max_n = std::max(bench::scaled(40), cfg.calibration.min_n + 12);
   cfg.calibration.vr_samples = bench::scaled(200, 50);
-  cfg.threads = threads;
+  // The advisor's density->SPR factor, as the cluster derives it.
+  cfg.constants.spr_base = 0.93 * cfg.calibration.vr_samples;
   return cfg;
 }
 
@@ -85,7 +86,8 @@ std::vector<serve::AdvisorRequest> query_grid() {
 }
 
 // Byte-level identity through the wire format, plus field-level identity —
-// the bench enforces the same contract test_serve does.
+// the bench enforces the same contract test_serve does: batch composition
+// cannot change a response.
 bool identical(const std::vector<serve::AdvisorResponse>& a,
                const std::vector<serve::AdvisorResponse>& b) {
   if (a.size() != b.size()) return false;
@@ -98,31 +100,44 @@ bool identical(const std::vector<serve::AdvisorResponse>& a,
 }  // namespace
 
 int main() {
-  const int threads = core::default_thread_count();
-  bench::print_header("Advisor serving throughput (beyond the paper)",
-                      "One fixed query batch at 1 thread vs " + std::to_string(threads) +
-                          " (ISR_THREADS / hardware); shared model registry.");
+  bench::print_header("Advisor evaluation throughput (beyond the paper)",
+                      "One fixed query batch through answer_batch (one scratch, one "
+                      "thread); fitted once from a model registry.");
 
-  const auto registry = std::make_shared<serve::ModelRegistry>();
-  serve::AdvisorService serial_service(service_config(1), registry);
-  serve::AdvisorService parallel_service(service_config(0), registry);
+  const serve::ServiceConfig cfg = service_config();
+  serve::ModelRegistry registry;
 
   // Calibrate once, outside the timed region: serving must not be billed
   // for the one-time corpus fit (that is the registry's whole point).
   const auto calib_start = std::chrono::steady_clock::now();
-  const std::size_t corpus =
-      registry->models_for(serial_service.config().calibration).corpus_size;
+  const serve::BundlePtr bundle = registry.bundle_for(cfg.calibration);
   const double t_calibrate = seconds_since(calib_start);
+  const std::size_t corpus = bundle->corpus_size;
 
   const std::vector<serve::AdvisorRequest> requests = query_grid();
+  const std::size_t n_requests = requests.size();
 
-  const auto serial_start = std::chrono::steady_clock::now();
-  const std::vector<serve::AdvisorResponse> serial = serial_service.serve_batch(requests);
-  const double t_serial = seconds_since(serial_start);
+  // Best of five whole-grid passes through one scratch: the first pass
+  // also pays the arena's warmup growth, and a ~ms pass is at the mercy of
+  // scheduler noise.
+  std::vector<serve::AdvisorResponse> serial(n_requests);
+  serve::EvalScratch scratch;
+  double t_serial = 0.0;
+  for (int pass = 0; pass < 5; ++pass) {
+    const auto serial_start = std::chrono::steady_clock::now();
+    serve::answer_batch(*bundle, cfg.constants, requests.data(), n_requests, serial.data(),
+                        scratch);
+    const double t = seconds_since(serial_start);
+    if (pass == 0 || t < t_serial) t_serial = t;
+  }
 
-  const auto parallel_start = std::chrono::steady_clock::now();
-  const std::vector<serve::AdvisorResponse> parallel = parallel_service.serve_batch(requests);
-  const double t_parallel = seconds_since(parallel_start);
+  // Identity leg (untimed): the same requests in 64-item chunks, the
+  // cluster shards' default coalescing size.
+  std::vector<serve::AdvisorResponse> chunked(n_requests);
+  for (std::size_t begin = 0; begin < n_requests; begin += 64)
+    serve::answer_batch(*bundle, cfg.constants, requests.data() + begin,
+                        std::min<std::size_t>(64, n_requests - begin),
+                        chunked.data() + begin, scratch);
 
   // Serialization leg: one wire buffer reused across every line (the
   // flush-loop path in serve/jsonl.cpp) vs the allocating per-line form.
@@ -151,43 +166,38 @@ int main() {
   const double t_ser_alloc = seconds_since(alloc_start);
   const bool ser_same_bytes = wire_bytes == alloc_bytes;
 
-  const bool same = identical(serial, parallel);
-  const int fits = registry->fits();
+  const bool same = identical(serial, chunked);
+  const int fits = registry.fits();
 
   std::size_t answered = 0;
   for (const serve::AdvisorResponse& r : serial) answered += r.ok() ? 1 : 0;
 
-  const double n = static_cast<double>(requests.size());
-  const double speedup = t_parallel > 0.0 ? t_serial / t_parallel : 0.0;
+  const double n = static_cast<double>(n_requests);
   std::printf("calibration: %zu observations fitted in %.3fs (registry fits: %d)\n\n", corpus,
               t_calibrate, fits);
-  std::printf("%-22s %10s %12s %12s\n", "run", "threads", "seconds", "queries/sec");
-  bench::print_rule(60);
-  std::printf("%-22s %10d %12.4f %12.0f\n", "serial serve_batch", 1, t_serial, n / t_serial);
-  std::printf("%-22s %10d %12.4f %12.0f\n", "parallel serve_batch", threads, t_parallel,
-              n / t_parallel);
+  std::printf("%-22s %12s %12s\n", "run", "seconds", "queries/sec");
+  bench::print_rule(48);
+  std::printf("%-22s %12.4f %12.0f\n", "answer_batch", t_serial, n / t_serial);
   const double ser_n = n * ser_passes;
-  std::printf("%-22s %10d %12.4f %12.0f\n", "to_jsonl (reuse buf)", 1, t_ser_reuse,
+  std::printf("%-22s %12.4f %12.0f\n", "to_jsonl (reuse buf)", t_ser_reuse,
               ser_n / t_ser_reuse);
-  std::printf("%-22s %10d %12.4f %12.0f\n", "to_jsonl (allocating)", 1, t_ser_alloc,
+  std::printf("%-22s %12.4f %12.0f\n", "to_jsonl (allocating)", t_ser_alloc,
               ser_n / t_ser_alloc);
-  const bool all_ok = answered == requests.size();
-  std::printf("\n%zu queries (%zu ok%s); speedup %.2fx; responses byte-identical: %s\n",
-              requests.size(), answered, all_ok ? "" : " — DEGENERATE CALIBRATION",
-              speedup, same ? "yes" : "NO (BUG)");
+  const bool all_ok = answered == n_requests;
+  std::printf("\n%zu queries (%zu ok%s); whole batch vs 64-item chunks byte-identical: %s\n",
+              n_requests, answered, all_ok ? "" : " — DEGENERATE CALIBRATION",
+              same ? "yes" : "NO (BUG)");
 
   std::printf(
-      "JSON {\"bench\":\"advisor_throughput\",\"queries\":%zu,\"threads\":%d,"
+      "JSON {\"bench\":\"advisor_throughput\",\"queries\":%zu,"
       "\"calibration_seconds\":%.6f,\"corpus_observations\":%zu,\"registry_fits\":%d,"
-      "\"serial_seconds\":%.6f,\"parallel_seconds\":%.6f,\"qps_serial\":%.1f,"
-      "\"qps_parallel\":%.1f,\"speedup\":%.3f,"
+      "\"serial_seconds\":%.6f,\"qps_serial\":%.1f,"
       "\"qps_serialize_reuse\":%.1f,\"qps_serialize_alloc\":%.1f,"
       "\"serialize_bytes_per_line\":%.1f,\"identical\":%s}\n",
-      requests.size(), threads, t_calibrate, corpus, fits, t_serial, t_parallel, n / t_serial,
-      n / t_parallel, speedup, ser_n / t_ser_reuse, ser_n / t_ser_alloc,
-      static_cast<double>(wire_bytes) / n, same ? "true" : "false");
-  // Four health gates: responses identical, calibration fitted exactly
-  // once (the shared-registry cache hit), every query answered ok, and the
-  // two serializer forms produced the same byte count.
+      n_requests, t_calibrate, corpus, fits, t_serial, n / t_serial, ser_n / t_ser_reuse,
+      ser_n / t_ser_alloc, static_cast<double>(wire_bytes) / n, same ? "true" : "false");
+  // Four health gates: responses identical across batch compositions,
+  // calibration fitted exactly once, every query answered ok, and the two
+  // serializer forms produced the same byte count.
   return same && fits == 1 && all_ok && ser_same_bytes ? 0 : 1;
 }

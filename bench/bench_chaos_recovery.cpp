@@ -166,7 +166,7 @@ int main() {
 
   const std::vector<serve::AdvisorRequest> requests = query_grid();
   const auto primary = std::make_shared<serve::ModelRegistry>();
-  primary->models_for(calibration());  // calibrate outside every timed region
+  primary->bundle_for(calibration());  // calibrate outside every timed region
 
   double t_baseline = 0.0, t_chaos = 0.0, t_replay = 0.0;
   std::vector<serve::AdvisorResponse> baseline, chaos, replayed;

@@ -3,8 +3,8 @@
 // an N-shard parallel cluster with a cold response cache, and the same
 // parallel cluster warm (every request a cache hit) — and reports
 // queries/sec for each. Both clusters share one primary ModelRegistry, so
-// the calibration corpus is fitted exactly once and every shard replica
-// adopts the bundle.
+// the calibration corpus is fitted exactly once and every admitted request
+// pins that one bundle.
 //
 // Health gates (exit nonzero on violation):
 //   - the parallel cluster's responses, cold AND warm, are byte-identical
@@ -125,9 +125,10 @@ int main() {
                                    primary);
 
   // Calibrate once, outside the timed region (the fit-once contract is the
-  // registry's point; replication then copies bundles, never refits).
+  // registry's point; both clusters then serve that one bundle).
   const auto calib_start = std::chrono::steady_clock::now();
-  const std::size_t corpus = primary->models_for(serial.config().service.calibration).corpus_size;
+  const std::size_t corpus =
+      primary->bundle_for(serial.config().service.calibration)->corpus_size;
   const double t_calibrate = seconds_since(calib_start);
 
   const auto serial_start = std::chrono::steady_clock::now();

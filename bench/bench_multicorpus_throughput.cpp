@@ -13,7 +13,7 @@
 //     serve::to_jsonl to the serial cluster's with BOTH corpora resident
 //     (the PR 2/3/4 determinism contract extended to corpus count);
 //   - registry fits == distinct corpus fingerprints (= 2 here) across ALL
-//     five clusters (one shared primary; replicas adopt, never refit);
+//     five clusters (one shared primary fits each corpus once);
 //   - the warm pass hits the cache on every request (corpus is part of the
 //     canonical key, so corpora cannot evict or serve each other);
 //   - the skewed stream's max/mean shard-load ratio is STRICTLY lower with
@@ -71,7 +71,7 @@ cluster::ClusterConfig cluster_config(int shards, std::size_t cache_entries,
   cfg.corpora.push_back(std::move(titan));
   cfg.shards = shards;
   cfg.cache_entries = cache_entries;
-  cfg.rebalance = rebalance;
+  if (!rebalance) cfg.imbalance_ratio = 0.0;  // pin every key to its home shard
   return cfg;
 }
 
@@ -183,12 +183,12 @@ int main() {
       cluster_config(shards, 2 * requests.size(), true), primary);
 
   // Calibrate both corpora once, outside the timed region (fit-once is the
-  // registry's point; replication copies bundles, never refits).
+  // registry's point; every cluster then serves those two bundles).
   const auto calib_start = std::chrono::steady_clock::now();
   const std::size_t corpus_a =
-      primary->models_for(serial.config().service.calibration).corpus_size;
+      primary->bundle_for(serial.config().service.calibration)->corpus_size;
   const std::size_t corpus_b =
-      primary->models_for(serial.config().corpora[0].service.calibration).corpus_size;
+      primary->bundle_for(serial.config().corpora[0].service.calibration)->corpus_size;
   const double t_calibrate = seconds_since(calib_start);
 
   const auto serial_start = std::chrono::steady_clock::now();

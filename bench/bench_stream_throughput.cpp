@@ -25,7 +25,7 @@
 //     collapse is a bug);
 //   - the streams leg's responses, live AND replayed, are byte-identical
 //     through serve::to_jsonl to the serialized run's;
-//   - exactly one registry fit (replicas adopt, never refit);
+//   - exactly one registry fit (every cluster shares one primary);
 //   - under the 2x-overload replay: every shed decision matches the
 //     virtual-time model request for request, the shed fraction is
 //     bounded away from 0 and 1 (an overloaded-but-sustainable queue
@@ -186,7 +186,7 @@ int main() {
 
   // Calibrate once, outside every timed region.
   const auto calib_start = std::chrono::steady_clock::now();
-  const std::size_t corpus = primary->models_for(calibration()).corpus_size;
+  const std::size_t corpus = primary->bundle_for(calibration())->corpus_size;
   const double t_calibrate = seconds_since(calib_start);
 
   // Each client's slice, prepared outside every timed region (the

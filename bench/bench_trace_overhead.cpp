@@ -136,7 +136,7 @@ int main() {
 
   // Calibrate once, outside every timed region.
   const auto calib_start = std::chrono::steady_clock::now();
-  const std::size_t corpus = primary->models_for(calibration()).corpus_size;
+  const std::size_t corpus = primary->bundle_for(calibration())->corpus_size;
   const double t_calibrate = seconds_since(calib_start);
 
   // One persistent recorder serves the off and on legs; each timed attempt

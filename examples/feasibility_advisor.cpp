@@ -5,7 +5,8 @@
 //     $ ./feasibility_advisor [N_per_task=200] [tasks=32] [image_edge=1024]
 //                             [budget_seconds=60]
 //   answers the configuration once, for every arch x renderer of the
-//   calibration corpus, via one serve_batch call.
+//   calibration corpus, via one serve_batch call on a default (1-shard)
+//   serving cluster.
 //
 //   Service:
 //     $ ./feasibility_advisor --serve [--shards N] [--cache ENTRIES]
@@ -16,17 +17,18 @@
 //   object per line, blank line or EOF flushes a batch; schema in
 //   docs/ARCHITECTURE.md). Requests route through the sharded serving
 //   cluster (src/cluster/): models are fitted once per distinct corpus,
-//   replicated to every shard, and repeated requests hit the LRU response
-//   cache. Each repeatable --corpus flag makes another calibration corpus
-//   resident under NAME (the default-calibration shape re-seeded with
-//   SEED — a distinct fingerprint and its own fit); requests select it
-//   with {"corpus":"NAME"}. --imbalance-ratio tunes the hot-key
-//   rebalancer (a (corpus, arch) key hotter than R times a shard's fair
-//   share spreads across shards; 0 pins every key to its home shard).
+//   pinned into every admitted request, and repeated requests hit the LRU
+//   response cache. Each repeatable --corpus flag makes another
+//   calibration corpus resident under NAME (the default-calibration shape
+//   re-seeded with SEED — a distinct fingerprint and its own fit);
+//   requests select it with {"corpus":"NAME"}. --imbalance-ratio tunes
+//   the hot-key rebalancer (a (corpus, arch) key hotter than R times a
+//   shard's fair share spreads across shards; 0 pins every key to its
+//   home shard).
 //   --streams N submits each batch through N concurrent StreamSessions
 //   (round-robin dealing; responses come back in input order, so output
-//   bytes match the serialized run). --deadline-us D stamps requests that
-//   carry no deadline of their own, exercising the cluster's deadline-
+//   bytes match the single-stream run). --deadline-us D stamps requests
+//   that carry no deadline of their own, exercising the cluster's deadline-
 //   aware shedding. --record FILE saves the admission schedule at EOF;
 //   --replay FILE pins admission to a prior recording, making even shed
 //   decisions reproducible (feed it the SAME input the recording saw — a
@@ -208,9 +210,10 @@ int main(int argc, char** argv) {
     // <= 0 pins every key to its home shard (rebalancing off).
     double imbalance_ratio =
         core::env_double("ISR_IMBALANCE_RATIO", 1.25, /*require_positive=*/false);
-    // Concurrent stream sessions per batch (1 = the plain serve_batch
-    // path) and the default deadline stamped onto undeadlined requests
-    // (0 = none). Capped like shards: each stream is a submitting thread.
+    // Concurrent stream sessions per batch (1 = one session, submitted
+    // from this thread) and the default deadline stamped onto undeadlined
+    // requests (0 = none). Capped like shards: each stream past the first
+    // is a submitting thread.
     long streams = core::env_long("ISR_STREAMS", 1);
     if (streams > 256) {
       std::fprintf(stderr, "%s: ISR_STREAMS=%ld too large, clamping to 256\n", argv[0],
@@ -384,7 +387,6 @@ int main(int argc, char** argv) {
     config.shards = static_cast<int>(shards);
     config.cache_entries = static_cast<std::size_t>(cache_entries);
     config.corpora = std::move(corpora);
-    config.rebalance = imbalance_ratio > 0.0;
     config.imbalance_ratio = imbalance_ratio;
     config.fault = fault;
     if (!trace_file.empty()) config.trace = &tracer;
@@ -418,11 +420,12 @@ int main(int argc, char** argv) {
       serving.enable_recording();
     }
 
-    // The batch handler: stamp the default deadline, then submit either
-    // through the plain serve_batch path (streams = 1 — itself one stream
-    // session) or round-robin across N concurrent sessions. Dealing by
+    // The batch handler: stamp the default deadline, then deal the batch
+    // round-robin across N stream sessions, one per lane, opened in lane
+    // order (the replay matching key: one session per lane per batch).
+    // Lane 0 submits on this thread, so N = 1 spawns no thread. Dealing by
     // i % n and reassembling by the same rule keeps responses in input
-    // order, so stdout is byte-comparable to the serialized run.
+    // order, so stdout is byte-comparable at any --streams.
     const std::size_t n_streams_flag = static_cast<std::size_t>(streams);
     // --recalibrate-every bookkeeping: served requests since the last
     // recalibration. The refit fires at the first batch boundary past the
@@ -467,29 +470,24 @@ int main(int argc, char** argv) {
         std::cin, std::cout,
         [&serving, n_streams_flag, deadline_us, &maybe_recalibrate,
          &maybe_emit_metrics](const std::vector<serve::AdvisorRequest>& requests) {
+          if (requests.empty()) return std::vector<serve::AdvisorResponse>();
           std::vector<serve::AdvisorRequest> reqs = requests;
           if (deadline_us > 0)
             for (serve::AdvisorRequest& r : reqs)
               if (r.deadline_us == 0) r.deadline_us = deadline_us;
-          if (n_streams_flag <= 1) {
-            std::vector<serve::AdvisorResponse> responses = serving.serve_batch(reqs);
-            maybe_recalibrate(reqs.size());
-            maybe_emit_metrics(reqs.size());
-            return responses;
-          }
-          if (reqs.empty()) return std::vector<serve::AdvisorResponse>();
           const std::size_t n_streams = std::min(n_streams_flag, reqs.size());
           std::vector<cluster::StreamSession> sessions;
           sessions.reserve(n_streams);
           for (std::size_t k = 0; k < n_streams; ++k)
             sessions.push_back(serving.open_stream());
+          const auto deal = [&reqs, &sessions, n_streams](std::size_t k) {
+            for (std::size_t i = k; i < reqs.size(); i += n_streams)
+              sessions[k].submit(reqs[i]);
+          };
           std::vector<std::thread> producers;
-          producers.reserve(n_streams);
-          for (std::size_t k = 0; k < n_streams; ++k)
-            producers.emplace_back([&reqs, &sessions, k, n_streams] {
-              for (std::size_t i = k; i < reqs.size(); i += n_streams)
-                sessions[k].submit(reqs[i]);
-            });
+          producers.reserve(n_streams - 1);
+          for (std::size_t k = 1; k < n_streams; ++k) producers.emplace_back(deal, k);
+          deal(0);
           for (std::thread& producer : producers) producer.join();
           std::vector<serve::AdvisorResponse> responses(reqs.size());
           for (std::size_t k = 0; k < n_streams; ++k) {
@@ -528,7 +526,7 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
 
   std::printf("calibrating models (small study corpus on CPU1/GPU1 profiles)...\n");
-  serve::AdvisorService service;  // default calibration; fits on first query
+  cluster::ServingCluster serving;  // default calibration; fits on first query
 
   // One batch answers the whole arch x renderer table.
   std::vector<serve::AdvisorRequest> requests;
@@ -546,7 +544,7 @@ int main(int argc, char** argv) {
       requests.push_back(req);
     }
   }
-  const std::vector<serve::AdvisorResponse> responses = service.serve_batch(requests);
+  const std::vector<serve::AdvisorResponse> responses = serving.serve_batch(requests);
 
   std::printf("\nconfiguration: %d^3 cells/task, %d tasks, %dx%d image, %.0fs budget\n\n",
               n, tasks, edge, edge, budget);

@@ -14,18 +14,19 @@ namespace isr::cluster {
 
 namespace {
 
-// Mirror AdvisorService's spr_base derivation: the SPR mapping must assume
-// the sampling density the calibration corpus was rendered at.
+// The advisor's density->SPR factor for a spr_base left at its 0 sentinel
+// (0.93 * vr_samples; 186 for the default 200-sample calibration): the SPR
+// mapping must assume the sampling density the corpus was rendered at.
 void derive_spr_base(serve::ServiceConfig& service) {
   if (service.constants.spr_base <= 0.0)
     service.constants.spr_base = 0.93 * service.calibration.vr_samples;
 }
 
-// The replica/routing key: calibration fingerprint + the exact bit
-// patterns of the mapping constants. Two corpora sharing a calibration but
-// differing in constants (e.g. an explicit spr_base) predict differently,
-// so they must select distinct shard replica entries — while still sharing
-// the calibration's single fit.
+// The routing key: calibration fingerprint + the exact bit patterns of the
+// mapping constants. Two corpora sharing a calibration but differing in
+// constants (e.g. an explicit spr_base) predict differently, so they must
+// route as distinct keys — while still sharing the calibration's single
+// fit.
 std::uint64_t corpus_key_for(const serve::ServiceConfig& service,
                              std::uint64_t fingerprint) {
   std::uint64_t key = hash_seed(fingerprint, std::uint64_t{0xC0B905ull});
@@ -67,6 +68,10 @@ serve::AdvisorResponse degraded_response(const std::string& why) {
   return r;
 }
 
+// Consecutive clean watchdog polls before a degraded shard is promoted
+// back to healthy.
+constexpr int kHealthRecoveryPolls = 4;
+
 }  // namespace
 
 ServingCluster::ServingCluster(ClusterConfig config,
@@ -74,18 +79,17 @@ ServingCluster::ServingCluster(ClusterConfig config,
     : config_(std::move(config)),
       primary_(primary ? std::move(primary) : std::make_shared<serve::ModelRegistry>()),
       router_(config_.shards > 0 ? config_.shards : 1,
-              RouterOptions{/*replicas=*/64, config_.rebalance, config_.imbalance_ratio,
-                            config_.rebalance_window > 0 ? config_.rebalance_window : 1,
-                            /*min_hot_load=*/32.0}),
+              RouterOptions{/*replicas=*/64, config_.imbalance_ratio,
+                            /*decay_window=*/4096, /*min_hot_load=*/32.0}),
       faults_(config_.fault),
       epoch_(std::chrono::steady_clock::now()) {
   // Resolve the configured corpora up front: the default first (selector
   // ""), then each valid named corpus. Empty, "default", and duplicate
   // names are dropped — "" is reserved for the default corpus, "default"
   // is its metrics alias (a named reuse would emit colliding JSON keys),
-  // and a duplicate would make resolution ambiguous (first writer wins,
-  // like the registry's adopt). Resolution fixes names, fingerprints, and
-  // keys only; the model bundles arrive lazily, on first query.
+  // and a duplicate would make resolution ambiguous (first writer wins).
+  // Resolution fixes names, fingerprints, and keys only; the model bundles
+  // arrive lazily, on first query.
   derive_spr_base(config_.service);
   auto default_corpus = std::make_unique<CorpusState>();
   default_corpus->service = config_.service;
@@ -108,7 +112,7 @@ ServingCluster::ServingCluster(ClusterConfig config,
   corpus_queries_ = std::make_unique<std::atomic<long>[]>(corpora_.size());
   // The cache is hard-partitioned per configured corpus, so its shape
   // depends on the corpus count resolved above.
-  cache_ = std::make_unique<ResponseCache>(config_.cache_entries, config_.cache_ways,
+  cache_ = std::make_unique<ResponseCache>(config_.cache_entries, /*ways=*/8,
                                            corpora_.size());
 
   const int n_shards = config_.shards > 0 ? config_.shards : 1;
@@ -137,7 +141,6 @@ ServingCluster::ServingCluster(ClusterConfig config,
   if (config_.retry_backoff_max_us < config_.retry_backoff_us)
     config_.retry_backoff_max_us = config_.retry_backoff_us;
   if (config_.watchdog_poll_us <= 0) config_.watchdog_poll_us = 1000;
-  if (config_.health_recovery_polls < 1) config_.health_recovery_polls = 1;
   // make_unique value-initializes: every shard starts kHealthy (0), with a
   // zero suspect counter.
   health_ = std::make_unique<std::atomic<int>[]>(static_cast<std::size_t>(n_shards));
@@ -306,6 +309,7 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
                replay_[replay_cursor_].seq == slot;
       });
       now_us = replay_[replay_cursor_++].t_us;
+      skip_closed_replay_records();
       replay_cv_.notify_all();
     } else {
       // Re-read under the lock so recorded timestamps run in schedule order.
@@ -506,8 +510,20 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   }
 }
 
-void ServingCluster::kick_all() {
+void ServingCluster::end_stream(std::uint64_t stream) {
+  if (replaying_.load(std::memory_order_relaxed)) {
+    std::lock_guard<std::mutex> lock(admission_mutex_);
+    replay_len_.erase(stream);
+    skip_closed_replay_records();
+    replay_cv_.notify_all();
+  }
   for (const auto& shard : shards_) shard->kick();
+}
+
+void ServingCluster::skip_closed_replay_records() {
+  while (replay_cursor_ < replay_.size() &&
+         replay_len_.count(replay_[replay_cursor_].stream) == 0)
+    ++replay_cursor_;
 }
 
 void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) {
@@ -593,6 +609,10 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
     }
     const std::uint64_t item_stream = item.session->id();
     const std::uint64_t item_seq = item.slot;
+    // Stamped before the handoff: once the target queue holds the item it
+    // may deliver at any moment, and the failover instant must not postdate
+    // that terminal.
+    const std::int64_t handoff_us = tracing ? tr->now_us() : 0;
     if (target >= 0 &&
         shards_[static_cast<std::size_t>(target)]->try_enqueue(std::move(item))) {
       failovers_.fetch_add(1, std::memory_order_relaxed);
@@ -601,7 +621,7 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
         e.name = "failover";
         e.cat = "req";
         e.phase = 'i';
-        e.ts_us = tr->now_us();
+        e.ts_us = handoff_us;
         e.stream = item_stream;
         e.seq = item_seq;
         e.values = 1;
@@ -615,7 +635,7 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
     }
     // No live alternative (single shard, every sibling down) or the target
     // queue is full/closed — try_enqueue left the item untouched. Evaluate
-    // inline on the failing shard's replica set: never blocks (a blocking
+    // inline through the failing shard: never blocks (a blocking
     // push from worker/watchdog context could deadlock shards against each
     // other), and the response is the normal pure bytes, because WHO
     // evaluates never matters. WHETHER it fails still must: the inline
@@ -690,7 +710,7 @@ void ServingCluster::watchdog_loop() {
                            std::memory_order_relaxed);
         clean[s] = 0;
       } else if (current == static_cast<int>(ShardHealth::kDegraded)) {
-        if (++clean[s] >= config_.health_recovery_polls) {
+        if (++clean[s] >= kHealthRecoveryPolls) {
           health_[s].store(static_cast<int>(ShardHealth::kHealthy),
                            std::memory_order_relaxed);
           clean[s] = 0;
@@ -834,10 +854,12 @@ std::uint64_t StreamSession::submit(const serve::AdvisorRequest& request) {
 
 std::vector<serve::AdvisorResponse> StreamSession::close() {
   if (!state_) return {};
-  // Flush partial shard batches so the tail is answered promptly, then
-  // wait out every owed slot. The state_ reset is what marks the handle
-  // spent; in-flight items (there are none by now) share ownership.
-  cluster_->kick_all();
+  // Retire the stream (releasing replay siblings parked behind its unused
+  // records) and flush partial shard batches so the tail is answered
+  // promptly, then wait out every owed slot. The state_ reset is what
+  // marks the handle spent; in-flight items (there are none by now) share
+  // ownership.
+  cluster_->end_stream(state_->id());
   std::vector<serve::AdvisorResponse> responses = state_->wait_drained();
   state_.reset();
   cluster_ = nullptr;

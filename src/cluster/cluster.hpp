@@ -1,11 +1,12 @@
-// The sharded serving cluster (layer 5): turns the single-registry advisor
-// of src/serve/ into a simulated multi-shard, multi-corpus cluster on one
-// machine — the ROADMAP's "sharding/replication ... on the road to
-// heavy-traffic serving" and "continuous async serving front-end" items
-// made concrete. The paper's feasibility model is only meaningful per
-// calibration corpus (one machine/configuration fit, Tables 12-17); a
-// production advisor serves many machines at once, so the cluster holds
-// several corpora resident and requests carry a `corpus` selector.
+// The sharded serving cluster (layer 5) and the one serving entry point:
+// it drives src/serve/'s evaluator (answer_batch) as a simulated
+// multi-shard, multi-corpus cluster on one machine — the ROADMAP's
+// "sharding/replication ... on the road to heavy-traffic serving" and
+// "continuous async serving front-end" items made concrete. The paper's
+// feasibility model is only meaningful per calibration corpus (one
+// machine/configuration fit, Tables 12-17); a production advisor serves
+// many machines at once, so the cluster holds several corpora resident and
+// requests carry a `corpus` selector.
 //
 // Serving is a continuous admission pipeline, not a one-shot batch call:
 // any number of clients hold StreamSession handles and submit concurrently,
@@ -25,17 +26,17 @@
 //                      serve::answer_batch against each item's pinned
 //                      corpus bundle ─> slot (+ cache insert)
 //
-// serve_batch still exists and is the compatibility surface: it opens a
-// session, submits the batch, and closes — so every batch-era caller rides
-// the streaming pipeline unchanged, and overlapping serve_batch calls now
-// genuinely overlap instead of serializing.
+// serve_batch is the batch convenience over that pipeline: it opens a
+// session, submits the batch, and closes — so a whole-batch caller (the
+// one-shot CLI, the benches) rides the same admission path as a streaming
+// client, and overlapping serve_batch calls genuinely overlap.
 //
 // Determinism contract (the cluster's load-bearing promise, enforced by
 // test_cluster, test_stream, and the three cluster benches): a response
 // is a pure function of (request, fitted models, mapping constants), so
 // WHAT a request answers is identical — byte-identical through
 // serve::to_jsonl — for any shard count, thread count, stream count,
-// cache state, resident-corpus count, and rebalancing setting. Shed
+// cache state, resident-corpus count, and imbalance ratio. Shed
 // decisions are the one interleaving-dependent output; they become
 // deterministic in REPLAY mode, where a recorded admission schedule
 // (stream id, seq, virtual timestamp) pins the interleaving and the
@@ -143,10 +144,9 @@ struct CorpusConfig {
 };
 
 struct ClusterConfig {
-  // The DEFAULT calibration corpus + mapping constants, exactly as a
-  // single AdvisorService takes them (the `threads` field is ignored — the
-  // cluster's evaluation parallelism is one worker per shard). Requests
-  // with an empty `corpus` selector resolve here.
+  // The DEFAULT calibration corpus + mapping constants (the cluster's
+  // evaluation parallelism is one worker per shard). Requests with an
+  // empty `corpus` selector resolve here.
   serve::ServiceConfig service;
 
   // Additional named corpora resident alongside the default. Entries with
@@ -158,7 +158,6 @@ struct ClusterConfig {
 
   int shards = 1;                    // serving shards (>= 1), one worker thread each
   std::size_t cache_entries = 1024;  // total ResponseCache entries; 0 = off
-  int cache_ways = 8;                // cache lock-sharding factor
 
   std::size_t queue_capacity = 1024;  // per-shard admission queue bound
   std::size_t batch_size = 64;        // coalescing flush threshold
@@ -167,11 +166,9 @@ struct ClusterConfig {
   // Hot-key rebalancing (see cluster/router.hpp): when one (corpus, arch)
   // key's decaying load exceeds imbalance_ratio times a shard's fair
   // share, it is split across the shards in the key's rendezvous order.
-  // imbalance_ratio <= 0 (or rebalance = false) pins every key to its home
-  // shard, the pre-rebalancing behavior.
-  bool rebalance = true;
+  // imbalance_ratio <= 0 pins every key to its home shard, the
+  // pre-rebalancing behavior.
   double imbalance_ratio = 1.25;
-  std::size_t rebalance_window = 4096;  // decaying-counter halving period
 
   // Shed accounting's per-request service cost in microseconds: the fixed
   // cost replay mode charges (keeping shed decisions a pure function of
@@ -202,11 +199,9 @@ struct ClusterConfig {
   long retry_backoff_max_us = 2000;
   // Heartbeat watchdog poll period. Each poll checks every shard for a
   // crashed worker (restart + re-drive) or a stalled one (stale heartbeat
-  // with work pending -> degraded).
+  // with work pending -> degraded); four consecutive clean polls promote a
+  // degraded shard back to healthy.
   long watchdog_poll_us = 1000;
-  // Consecutive clean polls before a degraded shard is promoted back to
-  // healthy.
-  int health_recovery_polls = 4;
 };
 
 class ServingCluster {
@@ -231,10 +226,10 @@ class ServingCluster {
   // concurrently.
   StreamSession open_stream();
 
-  // Compatibility surface: opens a session, submits every request in
-  // order, closes. Byte-identical through serve::to_jsonl to a serial
-  // single-registry run of the same requests; concurrent callers overlap
-  // freely (each is its own stream).
+  // Batch convenience: opens a session, submits every request in order,
+  // closes. Byte-identical through serve::to_jsonl to answer_batch over
+  // the same requests; concurrent callers overlap freely (each is its own
+  // stream). An empty batch opens no session and fits nothing.
   std::vector<serve::AdvisorResponse> serve_batch(
       const std::vector<serve::AdvisorRequest>& requests);
 
@@ -248,9 +243,10 @@ class ServingCluster {
   // recording has that shape). Replay submissions block until the schedule
   // reaches them; a submission the schedule does not hold (a truncated
   // recording, an extra request) is answered at once with an in-slot
-  // kError response, "replay: submission not in the recording". Both are
-  // meant for a fresh cluster whose session-open order mirrors the
-  // recorded run.
+  // kError response, "replay: submission not in the recording", and a
+  // stream that closes before submitting all its records retires the rest,
+  // so its siblings never wait on them. Both are meant for a fresh cluster
+  // whose session-open order mirrors the recorded run.
   void enable_recording();
   AdmissionSchedule take_recording();  // moves out what was captured so far
   void begin_replay(AdmissionSchedule schedule);
@@ -380,9 +376,16 @@ class ServingCluster {
   void admit(const std::shared_ptr<SessionState>& session, std::size_t slot,
              const serve::AdvisorRequest& request);
 
-  // StreamSession::close support: flush every shard's partial batch so the
-  // session's in-flight tail is answered promptly.
-  void kick_all();
+  // StreamSession::close support. Under replay, the stream's unconsumed
+  // schedule records are retired first (a stream closing before it
+  // submitted them must not park its siblings' submissions behind them);
+  // then every shard's partial batch is flushed so the session's in-flight
+  // tail is answered promptly.
+  void end_stream(std::uint64_t stream);
+
+  // Advances the replay cursor past records of streams that closed before
+  // submitting them. Caller holds admission_mutex_.
+  void skip_closed_replay_records();
 
   // Index into corpora_ for a request's selector, or -1 when unknown.
   int resolve_corpus(const std::string& name) const;
@@ -400,7 +403,7 @@ class ServingCluster {
   // The heartbeat watchdog: polls every shard each watchdog_poll_us,
   // restarts crashed workers (re-driving the batch they held), marks
   // stalled or failing shards degraded, and promotes them back to healthy
-  // after health_recovery_polls clean polls. The only writer of health_.
+  // after kHealthRecoveryPolls clean polls. The only writer of health_.
   void watchdog_loop();
 
   ShardHealth health(std::size_t shard) const {
@@ -473,7 +476,8 @@ class ServingCluster {
   AdmissionSchedule replay_;
   std::size_t replay_cursor_ = 0;
   // Records per stream in replay_: (stream, seq) is scheduled iff
-  // seq < replay_len_[stream], because check_schedule holds.
+  // seq < replay_len_[stream], because check_schedule holds. A stream that
+  // closes is erased, so the cursor skips its unconsumed records.
   std::unordered_map<std::uint64_t, std::uint64_t> replay_len_;
   // Admission counters: atomics so live admission updates them outside
   // the admission lock (metrics() reads are monotone either way).

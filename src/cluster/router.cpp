@@ -17,7 +17,6 @@ constexpr std::uint64_t kRendezvousSalt = 0x5D12EBAAull;
 Router::Router(int shards, RouterOptions options)
     : shards_(shards > 0 ? shards : 1), options_(options) {
   if (options_.replicas < 1) options_.replicas = 1;
-  if (options_.imbalance_ratio <= 0.0) options_.rebalance = false;
   if (options_.decay_window == 0) options_.decay_window = 1;
   ring_.reserve(static_cast<std::size_t>(shards_) *
                 static_cast<std::size_t>(options_.replicas));
@@ -72,7 +71,7 @@ bool Router::is_hot(double load) const {
 int Router::route(std::uint64_t corpus_fingerprint, const std::string& arch) {
   if (shards_ == 1) return 0;
   const std::uint64_t key = hash_seed(corpus_fingerprint, arch);
-  if (!options_.rebalance) return ring_successor(key);
+  if (options_.imbalance_ratio <= 0.0) return ring_successor(key);
 
   // Decay first, so one long-lived router converges on recent traffic: the
   // window halves every counter (and the total), and entries that decayed
@@ -114,7 +113,7 @@ int Router::route(std::uint64_t corpus_fingerprint, const std::string& arch) {
 }
 
 int Router::hot_keys() const {
-  if (!options_.rebalance || shards_ == 1) return 0;
+  if (options_.imbalance_ratio <= 0.0 || shards_ == 1) return 0;
   int hot = 0;
   for (const auto& kv : load_)
     if (is_hot(kv.second.load)) ++hot;

@@ -38,11 +38,9 @@ struct RouterOptions {
   // Virtual-node count per shard; more replicas smooth the key-space split
   // at the cost of a larger (still tiny) ring.
   int replicas = 64;
-  // Hot-key splitting on/off. Off, route() is exactly shard_for() plus
-  // load accounting.
-  bool rebalance = true;
   // A key is hot when its decayed load exceeds this multiple of a shard's
-  // fair share (total decayed load / shards). <= 0 disables rebalancing.
+  // fair share (total decayed load / shards). <= 0 disables hot-key
+  // splitting: route() is then exactly shard_for().
   double imbalance_ratio = 1.25;
   // Every `decay_window` routed requests, all load counters halve — recent
   // traffic dominates, and a key that cooled off returns to its home shard.

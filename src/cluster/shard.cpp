@@ -92,8 +92,13 @@ serve::AdvisorResponse Shard::evaluate(const StreamItem& item) {
   // dead worker. The message is a pure function of the exception, which is
   // itself a pure function of (request, models), so the bytes stay
   // deterministic.
+  // The scratch is per calling thread, not per shard: the cluster's inline
+  // re-drive calls this from watchdog and sibling-worker threads too.
   try {
-    response = serve::answer_request(*item.bundle, *item.constants, item.request);
+    thread_local serve::EvalScratch scratch;
+    const serve::AdvisorRequest* request = &item.request;
+    serve::AdvisorResponse* slot = &response;
+    serve::answer_batch(*item.bundle, *item.constants, &request, 1, &slot, scratch);
   } catch (const std::exception& e) {
     response = serve::AdvisorResponse{};
     response.status = serve::AdvisorResponse::Status::kError;

@@ -110,11 +110,12 @@ class Shard {
   // No more admissions, ever: the worker drains what remains and stops.
   void shutdown() { queue_.close(); }
 
-  // The pure per-item evaluation (serve::answer_request against the item's
-  // pinned bundle and constants), exceptions converted to in-slot error
-  // responses. Public so the cluster's failover path can evaluate inline
-  // when every queue route is saturated — the response is a pure function
-  // of (request, pinned bundle), so WHO evaluates never changes the bytes.
+  // The pure per-item evaluation (serve::answer_batch on a one-item batch
+  // against the item's pinned bundle and constants), exceptions converted
+  // to in-slot error responses. Public so the cluster's failover path can
+  // evaluate inline when every queue route is saturated — the response is
+  // a pure function of (request, pinned bundle), so WHO evaluates never
+  // changes the bytes.
   serve::AdvisorResponse evaluate(const StreamItem& item);
 
   // --- Supervision surface (the cluster's heartbeat watchdog) -----------

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstdio>
 
-#include "core/parallel_for.hpp"
 #include "model/feasibility.hpp"
 
 namespace isr::serve {
@@ -233,19 +232,6 @@ void answer_batch(const FittedModels& fitted, const model::MappingConstants& con
   answer_batch_impl(fitted, constants, rp, count, sp, scratch.arena);
 }
 
-AdvisorResponse answer_request(const FittedModels& fitted,
-                               const model::MappingConstants& constants,
-                               const AdvisorRequest& request) {
-  // One-item batch through the canonical evaluator; the thread-local
-  // scratch keeps the wrapper allocation-free at steady state too.
-  thread_local EvalScratch scratch;
-  AdvisorResponse response;
-  const AdvisorRequest* rp = &request;
-  AdvisorResponse* sp = &response;
-  answer_batch(fitted, constants, &rp, 1, &sp, scratch);
-  return response;
-}
-
 bool responses_identical(const AdvisorResponse& a, const AdvisorResponse& b) {
   return a.status == b.status && a.error == b.error &&
          a.frame_seconds == b.frame_seconds &&
@@ -331,53 +317,12 @@ model::StudyConfig default_calibration() {
 }
 
 ServiceConfig::ServiceConfig() : calibration(default_calibration()) {
-  // 0 = derive from the calibration corpus at service construction. The
-  // SPR mapping must assume the sampling density the corpus was actually
-  // rendered at, so overriding calibration.vr_samples alone stays
-  // consistent; set spr_base explicitly to decouple them.
+  // 0 = derive from the calibration corpus when the cluster resolves it
+  // (0.93 * vr_samples). The SPR mapping must assume the sampling density
+  // the corpus was actually rendered at, so overriding
+  // calibration.vr_samples alone stays consistent; set spr_base explicitly
+  // to decouple them.
   constants.spr_base = 0.0;
-}
-
-AdvisorService::AdvisorService(ServiceConfig config, std::shared_ptr<ModelRegistry> registry)
-    : config_(std::move(config)),
-      registry_(registry ? std::move(registry) : std::make_shared<ModelRegistry>()),
-      pool_(config_.threads) {
-  // The advisor's historical density->SPR factor (0.93 * vr_samples; 186
-  // for the default 200-sample calibration).
-  if (config_.constants.spr_base <= 0.0)
-    config_.constants.spr_base = 0.93 * config_.calibration.vr_samples;
-}
-
-AdvisorResponse AdvisorService::serve_one(const AdvisorRequest& request) {
-  const FittedModels& fitted = registry_->models_for(config_.calibration);
-  return answer_request(fitted, config_.constants, request);
-}
-
-std::vector<AdvisorResponse> AdvisorService::serve_batch(
-    const std::vector<AdvisorRequest>& requests) {
-  // A batch of zero answerable requests (e.g. every line of a JSONL batch
-  // failed to parse) must not pay for a calibration fit.
-  if (requests.empty()) return {};
-  // Fit (or cache-hit) once, before the fan-out, so workers never contend
-  // on the registry lock.
-  const FittedModels& fitted = registry_->models_for(config_.calibration);
-  const std::size_t n = requests.size();
-  std::vector<AdvisorResponse> responses(n);
-  // Contiguous chunks through the batched evaluator — the same ~8 chunks
-  // per lane the old per-item fan-out used, but each chunk is one
-  // answer_batch call with per-thread scratch. Responses are pure per
-  // request, so any chunking is bit-identical at any thread count.
-  const std::size_t lanes = static_cast<std::size_t>(pool_.size());
-  const std::size_t grain = n / (lanes * 8) > 0 ? n / (lanes * 8) : 1;
-  const std::size_t chunks = (n + grain - 1) / grain;
-  core::parallel_for(pool_, chunks, [&](std::size_t c) {
-    const std::size_t begin = c * grain;
-    const std::size_t end = begin + grain < n ? begin + grain : n;
-    thread_local EvalScratch scratch;
-    answer_batch(fitted, config_.constants, requests.data() + begin, end - begin,
-                 responses.data() + begin, scratch);
-  });
-  return responses;
 }
 
 }  // namespace isr::serve

@@ -1,24 +1,23 @@
 // Batch feasibility-prediction serving: the paper's §5.9 questions ("how
 // many images fit the budget?", "ray tracing or rasterization?") as a
-// typed request/response service. An in situ framework faces these
-// decisions online every cycle; this layer answers them at query rates by
-// fitting models once (serve/registry.hpp) and fanning request batches out
-// over the core thread pool.
+// typed request/response API. An in situ framework faces these decisions
+// online every cycle; this layer answers them at query rates from models
+// fitted once (serve/registry.hpp). answer_batch is the evaluator; the
+// one serving entry point that drives it — admission, caching, sharding,
+// streaming — is cluster::ServingCluster (src/cluster/).
 //
 // Determinism contract: a response is a pure function of (request, fitted
-// models, mapping constants). serve_batch writes responses into pre-sized
-// slots, so a batched multi-thread run is bit-identical — and, through
-// to_jsonl, byte-identical — to a serial run of the same requests, the same
-// guarantee model/study.* makes for the calibration corpus itself.
+// models, mapping constants). answer_batch writes responses into
+// pre-sized slots, so any batching, chunking, or shard placement of the
+// same requests is bit-identical — and, through to_jsonl, byte-identical —
+// to answering them one at a time, the same guarantee model/study.* makes
+// for the calibration corpus itself.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "core/arena.hpp"
-#include "core/thread_pool.hpp"
 #include "model/mapping.hpp"
 #include "model/perfmodel.hpp"
 #include "serve/registry.hpp"
@@ -32,8 +31,8 @@ struct AdvisorRequest {
   // Which resident calibration corpus answers this request. Empty selects
   // the server's default corpus; a multi-corpus cluster (src/cluster/)
   // resolves names to fitted bundles, and an unknown name yields an
-  // in-slot error response. A single AdvisorService ignores the selector —
-  // it has exactly one corpus.
+  // in-slot error response. answer_batch ignores the selector — its caller
+  // already resolved it to the bundle it passes in.
   std::string corpus;
   std::string arch = "CPU1";
   model::RendererKind renderer = model::RendererKind::kRayTrace;
@@ -132,15 +131,6 @@ void answer_batch(const FittedModels& fitted, const model::MappingConstants& con
                   const AdvisorRequest* requests, std::size_t count,
                   AdvisorResponse* responses, EvalScratch& scratch);
 
-// Single-item compatibility wrapper over answer_batch (count = 1), kept so
-// the byte-identity contract stays checkable item by item: a function of
-// (fitted models, mapping constants, request) only, so execution order,
-// thread count, shard assignment, and cache state cannot change a
-// response. New call sites should prefer answer_batch.
-AdvisorResponse answer_request(const FittedModels& fitted,
-                               const model::MappingConstants& constants,
-                               const AdvisorRequest& request);
-
 // One response as a JSON line (no trailing newline). Fixed field order and
 // printf-formatted numbers, so identical responses serialize to identical
 // bytes. Schema documented in docs/ARCHITECTURE.md.
@@ -170,13 +160,10 @@ struct ServiceConfig {
   // advisor's quick CPU1/GPU1 corpus (see default_calibration()).
   model::StudyConfig calibration;
   // §5.8 configuration -> model-variable mapping constants. spr_base <= 0
-  // (the default) derives it from calibration.vr_samples at service
-  // construction, keeping the SPR mapping consistent with the sampling
-  // density the corpus was rendered at.
+  // (the default) derives it from calibration.vr_samples when the cluster
+  // resolves the corpus, keeping the SPR mapping consistent with the
+  // sampling density the corpus was rendered at.
   model::MappingConstants constants;
-  // Worker threads for serve_batch: 0 = ISR_THREADS env / hardware,
-  // 1 = serial (the pool runs inline).
-  int threads = 0;
 
   ServiceConfig();
 };
@@ -185,33 +172,5 @@ struct ServiceConfig {
 // cloverleaf on CPU1/GPU1 at small sizes, all three renderers. Fits in
 // about a second; pass a bigger StudyConfig for production-grade models.
 model::StudyConfig default_calibration();
-
-// A long-lived advisor: owns the registry (fitted models) and the pool.
-// Thread-safe for concurrent serve_one calls; serve_batch is the intended
-// high-throughput entry point.
-class AdvisorService {
- public:
-  // A registry may be shared between services (e.g. one serial and one
-  // parallel service answering from the same fitted models); by default
-  // the service creates its own.
-  explicit AdvisorService(ServiceConfig config = {},
-                          std::shared_ptr<ModelRegistry> registry = nullptr);
-
-  // Answers one request serially.
-  AdvisorResponse serve_one(const AdvisorRequest& request);
-
-  // Answers a batch: responses land in pre-sized slots, response[i] for
-  // request[i], fanned out over the service's thread pool. Bit-identical
-  // to calling serve_one in a loop, at any thread count.
-  std::vector<AdvisorResponse> serve_batch(const std::vector<AdvisorRequest>& requests);
-
-  ModelRegistry& registry() { return *registry_; }
-  const ServiceConfig& config() const { return config_; }
-
- private:
-  ServiceConfig config_;
-  std::shared_ptr<ModelRegistry> registry_;
-  core::ThreadPool pool_;
-};
 
 }  // namespace isr::serve

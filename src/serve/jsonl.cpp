@@ -279,15 +279,4 @@ std::size_t run_jsonl(std::istream& in, std::ostream& out, const BatchHandler& h
   return answered;
 }
 
-std::size_t run_jsonl(std::istream& in, std::ostream& out, AdvisorService& service) {
-  return run_jsonl(in, out, [&service](const std::vector<AdvisorRequest>& requests) {
-    return service.serve_batch(requests);
-  });
-}
-
-std::size_t run_jsonl(std::istream& in, std::ostream& out, ServiceConfig config) {
-  AdvisorService service(std::move(config));
-  return run_jsonl(in, out, service);
-}
-
 }  // namespace isr::serve

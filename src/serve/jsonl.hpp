@@ -1,9 +1,9 @@
-// JSON-lines front-end for the advisor service: one request object per
-// input line, one response object per output line, in request order. Blank
-// lines (and end of input) flush the accumulated batch through
-// AdvisorService::serve_batch, so a client controls batching by where it
-// puts blank lines — stream continuously for latency, batch for
-// throughput. This is what turns the one-shot advisor CLI into a
+// JSON-lines front-end for the advisor: one request object per input line,
+// one response object per output line, in request order. Blank lines (and
+// end of input) flush the accumulated batch through the caller's
+// BatchHandler — in the CLI, the serving cluster — so a client controls
+// batching by where it puts blank lines: stream continuously for latency,
+// batch for throughput. This is what turns the one-shot advisor CLI into a
 // long-lived stdin/stdout service.
 //
 // Request schema (all keys optional; defaults are AdvisorRequest's):
@@ -15,7 +15,7 @@
 // `deadline_us` (0 = none) and `priority` (0 most urgent .. 7) are the
 // streaming-admission QoS knobs: a cluster serving over stream sessions
 // may answer {"ok":false,"shed":true,...} when the deadline cannot be met;
-// the plain batch path ignores both.
+// answer_batch itself ignores both.
 // Unknown keys, type mismatches, and malformed JSON yield an
 // {"ok":false,"error":...} response in that request's slot — loud,
 // order-preserving, and non-fatal to the rest of the batch. The full
@@ -43,9 +43,9 @@ bool parse_request_line(const std::string& line, AdvisorRequest& request, std::s
 AdvisorResponse::Status response_line_status(const std::string& line);
 
 // What answers a parsed batch: response[i] for request[i]. The front-end is
-// deliberately agnostic about who serves — a single AdvisorService or the
-// sharded cluster (src/cluster/) plug in equally, and layering stays
-// downward-only (serve never includes cluster).
+// deliberately agnostic about who serves — the sharded cluster
+// (src/cluster/) or a bare answer_batch plug in equally, and layering
+// stays downward-only (serve never includes cluster).
 using BatchHandler =
     std::function<std::vector<AdvisorResponse>(const std::vector<AdvisorRequest>&)>;
 
@@ -53,11 +53,5 @@ using BatchHandler =
 // batch through `handler` and writing responses (and a flush) to `out`.
 // Returns the number of requests answered, error responses included.
 std::size_t run_jsonl(std::istream& in, std::ostream& out, const BatchHandler& handler);
-
-// Convenience overload serving through `service.serve_batch`.
-std::size_t run_jsonl(std::istream& in, std::ostream& out, AdvisorService& service);
-
-// Convenience overload owning a fresh service configured by `config`.
-std::size_t run_jsonl(std::istream& in, std::ostream& out, ServiceConfig config = {});
 
 }  // namespace isr::serve

@@ -59,37 +59,22 @@ FittedModels fit_bundle(const model::StudyConfig& config,
   return fitted;
 }
 
-ModelRegistry::Record& ModelRegistry::fit_locked(const model::StudyConfig& config,
-                                                 std::uint64_t key) {
-  // Caller holds mutex_ and has already missed the cache. The fit runs
-  // under the lock: concurrent first queries for the same config must not
-  // both pay for (or race on) a calibration study. Fits are rare (once per
-  // config) and the study uses its own pool, so the coarse critical section
-  // costs nothing in steady state.
-  Record record;
-  record.config = config;
-  record.refittable = true;
-  record.observations = model::run_study(config);
-  record.bundle = std::make_shared<const FittedModels>(
-      fit_bundle(config, record.observations, /*epoch=*/1));
-  ++fits_;
-  return cache_.emplace(key, std::move(record)).first->second;
-}
-
-const FittedModels& ModelRegistry::models_for(const model::StudyConfig& config) {
-  const std::uint64_t key = fingerprint(config);
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) return *it->second.bundle;
-  return *fit_locked(config, key).bundle;
-}
-
 BundlePtr ModelRegistry::bundle_for(const model::StudyConfig& config) {
   const std::uint64_t key = fingerprint(config);
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = cache_.find(key);
   if (it != cache_.end()) return it->second.bundle;
-  return fit_locked(config, key).bundle;
+  // A miss fits under the lock: concurrent first queries for the same
+  // config must not both pay for (or race on) a calibration study. Fits
+  // are rare (once per config) and the study uses its own pool, so the
+  // coarse critical section costs nothing in steady state.
+  Record record;
+  record.config = config;
+  record.observations = model::run_study(config);
+  record.bundle = std::make_shared<const FittedModels>(
+      fit_bundle(config, record.observations, /*epoch=*/1));
+  ++fits_;
+  return cache_.emplace(key, std::move(record)).first->second.bundle;
 }
 
 BundlePtr ModelRegistry::current(std::uint64_t fingerprint) const {
@@ -98,20 +83,11 @@ BundlePtr ModelRegistry::current(std::uint64_t fingerprint) const {
   return it == cache_.end() ? nullptr : it->second.bundle;
 }
 
-const FittedModels& ModelRegistry::adopt(const FittedModels& bundle) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = cache_.find(bundle.fingerprint);
-  if (it != cache_.end()) return *it->second.bundle;
-  Record record;
-  record.bundle = std::make_shared<const FittedModels>(bundle);
-  return *cache_.emplace(bundle.fingerprint, std::move(record)).first->second.bundle;
-}
-
 bool ModelRegistry::append_observations(std::uint64_t fingerprint,
                                         std::vector<model::Observation> observations) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = cache_.find(fingerprint);
-  if (it == cache_.end() || !it->second.refittable) return false;
+  if (it == cache_.end()) return false;
   Record& record = it->second;
   record.pending.insert(record.pending.end(),
                         std::make_move_iterator(observations.begin()),
@@ -128,7 +104,7 @@ std::size_t ModelRegistry::pending_observations(std::uint64_t fingerprint) const
 BundlePtr ModelRegistry::refit(std::uint64_t fingerprint) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = cache_.find(fingerprint);
-  if (it == cache_.end() || !it->second.refittable) return nullptr;
+  if (it == cache_.end()) return nullptr;
   Record& record = it->second;
   // Fold the pending observations into the corpus, then fit exactly the
   // way the initial fit did — the new bundle is bit-identical to a fresh
@@ -139,12 +115,10 @@ BundlePtr ModelRegistry::refit(std::uint64_t fingerprint) {
                              std::make_move_iterator(record.pending.begin()),
                              std::make_move_iterator(record.pending.end()));
   record.pending.clear();
-  BundlePtr fresh = std::make_shared<const FittedModels>(
+  record.bundle = std::make_shared<const FittedModels>(
       fit_bundle(record.config, record.observations, record.bundle->epoch + 1));
-  retired_.push_back(std::move(record.bundle));  // keep old references valid
-  record.bundle = fresh;
   ++refits_;
-  return fresh;
+  return record.bundle;
 }
 
 int ModelRegistry::fits() const {

@@ -14,9 +14,9 @@
 // fingerprint, and refit() folds them into the corpus and fits a fresh
 // bundle at epoch + 1. The refitted bundle is bit-identical to a fresh
 // fit_bundle() of the same appended corpus — refitting is re-fitting, not
-// an incremental approximation. Old bundles stay alive (shared_ptr + a
-// retired list), so both the reference-returning API and any in-flight
-// request pinning an old epoch remain valid across swaps.
+// an incremental approximation. Bundles are handed out as shared_ptrs: an
+// in-flight request pinning an old epoch keeps it alive across swaps, and
+// a superseded bundle is freed when its last pin is released.
 #pragma once
 
 #include <cstdint>
@@ -79,34 +79,20 @@ class ModelRegistry {
   static std::uint64_t fingerprint(const model::StudyConfig& config);
 
   // The fitted bundle for `config`, running the calibration study and the
-  // regressions at most once per fingerprint. Thread-safe; the returned
-  // reference stays valid for the registry's lifetime (entries are never
-  // evicted, and refits retire — never destroy — superseded bundles).
-  // Returns the CURRENT epoch's bundle; callers that must survive a
-  // concurrent refit should take shared ownership via bundle_for().
-  const FittedModels& models_for(const model::StudyConfig& config);
-
-  // Same fit-once contract, shared ownership: the serving cluster pins one
-  // of these per admitted request so an in-flight request finishes on the
-  // epoch it was admitted under even while a refit swaps the current.
+  // regressions at most once per fingerprint. Thread-safe. Returns shared
+  // ownership of the CURRENT epoch's bundle: callers hold it for as long as
+  // they read it, and the serving cluster pins one per admitted request so
+  // an in-flight request finishes on the epoch it was admitted under even
+  // while a refit swaps the current.
   BundlePtr bundle_for(const model::StudyConfig& config);
 
-  // The current bundle for an already-fitted (or adopted) fingerprint;
-  // nullptr when the fingerprint is unknown here. Never fits.
+  // The current bundle for an already-fitted fingerprint; nullptr when the
+  // fingerprint is unknown here. Never fits.
   BundlePtr current(std::uint64_t fingerprint) const;
 
-  // Replication path: installs a copy of an already-fitted bundle under its
-  // own fingerprint, so a replica registry answers from the primary's
-  // models without re-running the calibration study. Does NOT count as a
-  // fit; an existing entry for the fingerprint is kept (first writer wins —
-  // bundles for one fingerprint are identical). Adopted entries carry no
-  // corpus, so they cannot be refitted (append/refit return false/nullptr).
-  const FittedModels& adopt(const FittedModels& bundle);
-
   // Queues new observations against a fitted fingerprint for the next
-  // refit. Returns false when the fingerprint is unknown or was adopted
-  // rather than fitted here (no corpus to append to). Cheap: no fitting
-  // happens until refit().
+  // refit. Returns false when the fingerprint is unknown. Cheap: no
+  // fitting happens until refit().
   bool append_observations(std::uint64_t fingerprint,
                            std::vector<model::Observation> observations);
 
@@ -114,39 +100,30 @@ class ModelRegistry {
   std::size_t pending_observations(std::uint64_t fingerprint) const;
 
   // Folds every pending observation into the fingerprint's corpus and fits
-  // a fresh bundle at epoch + 1, atomically replacing the current one (the
-  // superseded bundle is retired, keeping old references and pins valid).
-  // Returns the new bundle, or nullptr when the fingerprint is unknown or
-  // not refittable (adopted). Bit-identical to fit_bundle() of the same
-  // appended corpus.
+  // a fresh bundle at epoch + 1, atomically replacing the current one
+  // (pins on the superseded bundle stay valid). Returns the new bundle, or
+  // nullptr when the fingerprint is unknown. Bit-identical to fit_bundle()
+  // of the same appended corpus.
   BundlePtr refit(std::uint64_t fingerprint);
 
-  // Number of calibration fits performed so far (cache misses; adopted
-  // bundles and refits excluded).
+  // Number of calibration fits performed so far (cache misses; refits
+  // excluded).
   int fits() const;
   // Number of refits performed so far.
   int refits() const;
 
  private:
-  // One fingerprint's record: the config and corpus it was fitted from
-  // (absent for adopted entries), observations queued for the next refit,
-  // and the current bundle.
+  // One fingerprint's record: the config and corpus it was fitted from,
+  // observations queued for the next refit, and the current bundle.
   struct Record {
     model::StudyConfig config;
-    bool refittable = false;  // fitted here (config + corpus retained)
     std::vector<model::Observation> observations;  // the fitted corpus
     std::vector<model::Observation> pending;       // appended, not yet fitted
     BundlePtr bundle;
   };
 
-  Record& fit_locked(const model::StudyConfig& config, std::uint64_t key);
-
   mutable std::mutex mutex_;
   std::map<std::uint64_t, Record> cache_;
-  // Superseded bundles, pinned for the registry's lifetime so the
-  // reference-returning API stays valid across refits. Bundles are tiny
-  // (a few coefficient vectors) and refits are rare.
-  std::vector<BundlePtr> retired_;
   int fits_ = 0;
   int refits_ = 0;
 };

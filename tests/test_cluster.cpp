@@ -168,7 +168,7 @@ TEST(RouterTest, HotKeySpreadsAcrossAllShards) {
 
 TEST(RouterTest, RebalanceOffPinsEveryKey) {
   RouterOptions options;
-  options.rebalance = false;
+  options.imbalance_ratio = 0.0;  // <= 0 turns hot-key splitting off
   Router router(4, options);
   for (int i = 0; i < 400; ++i)
     EXPECT_EQ(router.route(7, "hot"), router.shard_for(7, "hot"));
@@ -338,9 +338,9 @@ TEST(ResponseCacheTest, EpochScopesHitsAndInvalidation) {
 
 // --- Cluster determinism contract -------------------------------------------
 
-// One registry fit shared by every cluster in the suite: the replication
-// contract says shard replicas adopt rather than refit, so a shared primary
-// keeps the whole file at a single calibration study.
+// One registry fit shared by every cluster in the suite: clusters fit on
+// their primary registry and never on shards, so a shared primary keeps
+// the whole file at a single calibration study.
 class ClusterFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -369,7 +369,7 @@ TEST_F(ClusterFixture, NShardResponsesIdenticalToOneShardSerial) {
       EXPECT_EQ(serve::to_jsonl(expected[i]), serve::to_jsonl(got[i]))
           << "shards " << shards << " slot " << i;
     }
-    // Replication, not refitting: the suite-wide fit count stays 1.
+    // One fit on the shared primary: the suite-wide fit count stays 1.
     EXPECT_EQ(cluster.registry_fits(), 1);
   }
 }
@@ -682,28 +682,41 @@ TEST(MultiCorpusTest, ReservedDuplicateAndEmptyCorpusNamesAreIgnored) {
 }
 
 TEST(MultiCorpusTest, SharedCalibrationDistinctConstantsStaySeparate) {
-  // Two corpora over ONE calibration (one fit) that differ only in mapping
-  // constants: the replica key covers the constants, so each corpus's
-  // requests evaluate under its own constants — not the first adopter's.
+  // Corpora over ONE calibration (one fit) that differ only in mapping
+  // constants: the routing key covers the constants, so each corpus's
+  // requests evaluate under its own constants — not the first resolver's.
   ClusterConfig cfg = tiny_cluster_config(2, 0);
   CorpusConfig dense;
   dense.name = "dense";
   dense.service.calibration = tiny_calibration();  // same fingerprint
   dense.service.constants.spr_base = 990.0;        // explicit, much denser
   cfg.corpora.push_back(std::move(dense));
+  // The default corpus leaves spr_base at its 0 sentinel, which the cluster
+  // derives from the calibration's sampling density (0.93 * vr_samples); a
+  // corpus spelling that value out explicitly must answer the same bytes.
+  CorpusConfig pinned;
+  pinned.name = "pinned";
+  pinned.service.calibration = tiny_calibration();
+  pinned.service.constants.spr_base = 0.93 * tiny_calibration().vr_samples;
+  cfg.corpora.push_back(std::move(pinned));
   ServingCluster cluster(std::move(cfg));
   EXPECT_EQ(cluster.corpus_fingerprint(""), cluster.corpus_fingerprint("dense"));
+  EXPECT_EQ(cluster.corpus_fingerprint(""), cluster.corpus_fingerprint("pinned"));
 
   AdvisorRequest volume;  // spr_base feeds the volume model's SPR term
   volume.renderer = model::RendererKind::kVolume;
   AdvisorRequest dense_volume = volume;
   dense_volume.corpus = "dense";
+  AdvisorRequest pinned_volume = volume;
+  pinned_volume.corpus = "pinned";
   const std::vector<AdvisorResponse> responses =
-      cluster.serve_batch({volume, dense_volume});
-  ASSERT_EQ(responses.size(), 2u);
+      cluster.serve_batch({volume, dense_volume, pinned_volume});
+  ASSERT_EQ(responses.size(), 3u);
   ASSERT_TRUE(responses[0].ok()) << responses[0].error;
   ASSERT_TRUE(responses[1].ok()) << responses[1].error;
+  ASSERT_TRUE(responses[2].ok()) << responses[2].error;
   EXPECT_NE(responses[0].frame_seconds, responses[1].frame_seconds);
+  EXPECT_EQ(serve::to_jsonl(responses[0]), serve::to_jsonl(responses[2]));
   EXPECT_EQ(cluster.registry_fits(), 1);  // one calibration, one fit
 }
 

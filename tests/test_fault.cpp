@@ -248,7 +248,8 @@ TEST(RouterFailoverTest, RendezvousOrderIsAStablePermutationOfAllShards) {
 // --- Chaos over a live cluster ----------------------------------------------
 
 // Clusters share one primary registry so the whole suite pays for a single
-// calibration fit (replicas adopt, never refit) — same as test_stream.
+// calibration fit (clusters fit on the primary, never per shard) — same as
+// test_stream.
 class FaultClusterFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {

@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -125,9 +126,9 @@ TEST(RecalRegistryTest, InitialFitIsEpochOne) {
   EXPECT_GT(bundle->corpus_size, 0u);
   EXPECT_EQ(registry.fits(), 1);
   EXPECT_EQ(registry.refits(), 0);
-  // The shared-ownership and reference APIs hand out the same bundle, and
-  // neither re-fits.
-  EXPECT_EQ(&registry.models_for(cfg), bundle.get());
+  // A repeat lookup and the fingerprint lookup hand out the same bundle,
+  // and neither re-fits.
+  EXPECT_EQ(registry.bundle_for(cfg).get(), bundle.get());
   EXPECT_EQ(registry.current(bundle->fingerprint).get(), bundle.get());
   EXPECT_EQ(registry.fits(), 1);
 }
@@ -157,6 +158,12 @@ TEST(RecalRegistryTest, RefitAdvancesEpochMonotonicallyAndKeepsOldBundlesAlive) 
       EXPECT_GT(pinned[i]->corpus_size, pinned[i - 1]->corpus_size);
     }
   }
+  // The pins are all that keep superseded epochs alive: the registry holds
+  // only the current bundle, so dropping the last pin frees the old one.
+  const std::weak_ptr<const serve::FittedModels> first_epoch = pinned.front();
+  pinned.clear();
+  EXPECT_TRUE(first_epoch.expired());
+  EXPECT_EQ(registry.current(fp)->epoch, 4u);
 }
 
 TEST(RecalRegistryTest, RefitMatchesFreshFitBitForBit) {
@@ -194,22 +201,12 @@ TEST(RecalRegistryTest, RefitMatchesFreshFitBitForBit) {
   EXPECT_EQ(refitted->composite.coefficients(), fresh.composite.coefficients());
 }
 
-TEST(RecalRegistryTest, UnknownOrAdoptedFingerprintsAreNotRefittable) {
-  serve::ModelRegistry fitted;
-  const serve::BundlePtr bundle = fitted.bundle_for(tiny_calibration());
-
+TEST(RecalRegistryTest, UnknownFingerprintsAreNotRefittable) {
   serve::ModelRegistry registry;
   EXPECT_FALSE(registry.append_observations(0xDEADu, {}));
   EXPECT_EQ(registry.refit(0xDEADu), nullptr);
   EXPECT_EQ(registry.pending_observations(0xDEADu), 0u);
   EXPECT_EQ(registry.current(0xDEADu), nullptr);
-
-  // An adopted bundle carries no corpus: it serves, but cannot be refitted.
-  registry.adopt(*bundle);
-  EXPECT_TRUE(registry.current(bundle->fingerprint));
-  EXPECT_FALSE(registry.append_observations(bundle->fingerprint, {}));
-  EXPECT_EQ(registry.refit(bundle->fingerprint), nullptr);
-  EXPECT_EQ(registry.fits(), 0);  // adoption is not a fit
 }
 
 // --- Cluster: lazy residency -------------------------------------------------

@@ -1,6 +1,6 @@
 // Tests for the serving layer: registry fingerprinting and cache-hit
-// behavior, the typed advisor API, batch-vs-serial response identity at
-// any thread count, and the JSON-lines front-end.
+// behavior, the typed advisor API, answer_batch response identity at any
+// batch size, and the JSON-lines front-end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,53 +33,64 @@ model::StudyConfig tiny_calibration() {
   return cfg;
 }
 
-ServiceConfig tiny_service_config(int threads = 0) {
-  ServiceConfig cfg;
-  cfg.calibration = tiny_calibration();
-  cfg.threads = threads;
-  return cfg;
-}
-
-// One service and one registry shared by the suite, so the calibration
-// corpus is fitted once for all the serving tests (the registry's own
-// point, exercised for real in the dedicated registry tests below).
+// One fitted bundle shared by the suite, so the calibration corpus is
+// fitted once for all the serving tests (the registry's own point,
+// exercised for real in the dedicated registry tests below). answer() and
+// handler() serve through answer_batch — the evaluator every cluster shard
+// runs — under the spr_base the cluster derives for this corpus
+// (0.93 * vr_samples).
 class ServeFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    registry_ = std::make_shared<ModelRegistry>();
-    service_ = new AdvisorService(tiny_service_config(), registry_);
+    ModelRegistry registry;
+    bundle_ = registry.bundle_for(tiny_calibration());
+    constants_.spr_base = 0.93 * tiny_calibration().vr_samples;
   }
-  static void TearDownTestSuite() {
-    delete service_;
-    service_ = nullptr;
-    registry_.reset();
+  static void TearDownTestSuite() { bundle_.reset(); }
+
+  static BatchHandler handler() {
+    return [](const std::vector<AdvisorRequest>& requests) {
+      std::vector<AdvisorResponse> responses(requests.size());
+      EvalScratch scratch;
+      answer_batch(*bundle_, constants_, requests.data(), requests.size(),
+                   responses.data(), scratch);
+      return responses;
+    };
   }
-  static AdvisorService* service_;
-  static std::shared_ptr<ModelRegistry> registry_;
+
+  static AdvisorResponse answer(const AdvisorRequest& request) {
+    return handler()({request}).front();
+  }
+
+  static BundlePtr bundle_;
+  static model::MappingConstants constants_;
 };
 
-AdvisorService* ServeFixture::service_ = nullptr;
-std::shared_ptr<ModelRegistry> ServeFixture::registry_;
+BundlePtr ServeFixture::bundle_;
+model::MappingConstants ServeFixture::constants_;
+
+// The wire front-end over the same fixture.
+class JsonlService : public ServeFixture {};
 
 // --- Registry ---------------------------------------------------------------
 
 TEST(ModelRegistryTest, FitsOncePerFingerprintAndCaches) {
   ModelRegistry registry;
   EXPECT_EQ(registry.fits(), 0);
-  const FittedModels& first = registry.models_for(tiny_calibration());
+  const BundlePtr first = registry.bundle_for(tiny_calibration());
   EXPECT_EQ(registry.fits(), 1);
-  EXPECT_EQ(first.corpus_size, 36u);
-  EXPECT_EQ(first.entries.size(), 6u);  // 2 archs x 3 renderers
+  EXPECT_EQ(first->corpus_size, 36u);
+  EXPECT_EQ(first->entries.size(), 6u);  // 2 archs x 3 renderers
 
   // Same config again: cache hit, same bundle, no refit.
-  const FittedModels& again = registry.models_for(tiny_calibration());
+  const BundlePtr again = registry.bundle_for(tiny_calibration());
   EXPECT_EQ(registry.fits(), 1);
-  EXPECT_EQ(&first, &again);
+  EXPECT_EQ(first.get(), again.get());
 
   // A corpus-shaping change is a different fingerprint and a refit.
   model::StudyConfig changed = tiny_calibration();
   changed.seed = 124;
-  registry.models_for(changed);
+  registry.bundle_for(changed);
   EXPECT_EQ(registry.fits(), 2);
 }
 
@@ -112,10 +123,10 @@ TEST(ModelRegistryTest, FindReturnsNullForUnfittedCombination) {
   model::StudyConfig cfg = tiny_calibration();
   cfg.archs = {"CPU1"};
   cfg.renderers = {model::RendererKind::kRayTrace};
-  const FittedModels& fitted = registry.models_for(cfg);
-  EXPECT_NE(fitted.find("CPU1", model::RendererKind::kRayTrace), nullptr);
-  EXPECT_EQ(fitted.find("GPU1", model::RendererKind::kRayTrace), nullptr);
-  EXPECT_EQ(fitted.find("CPU1", model::RendererKind::kVolume), nullptr);
+  const BundlePtr fitted = registry.bundle_for(cfg);
+  EXPECT_NE(fitted->find("CPU1", model::RendererKind::kRayTrace), nullptr);
+  EXPECT_EQ(fitted->find("GPU1", model::RendererKind::kRayTrace), nullptr);
+  EXPECT_EQ(fitted->find("CPU1", model::RendererKind::kVolume), nullptr);
 }
 
 // --- Typed advisor API ------------------------------------------------------
@@ -128,7 +139,7 @@ TEST_F(ServeFixture, AnswersAFeasibilityQuery) {
   req.tasks = 8;
   req.image_edge = 512;
   req.budget_seconds = 60.0;
-  const AdvisorResponse resp = service_->serve_one(req);
+  const AdvisorResponse resp = answer(req);
   ASSERT_TRUE(resp.ok()) << resp.error;
   EXPECT_GT(resp.frame_seconds, 0.0);
   EXPECT_GT(resp.build_seconds, 0.0);  // ray tracing pays a BVH build
@@ -148,7 +159,7 @@ TEST_F(ServeFixture, MoreBudgetNeverMeansFewerImages) {
   long previous = -1;
   for (const double budget : {0.0, 10.0, 60.0, 600.0}) {
     req.budget_seconds = budget;
-    const AdvisorResponse resp = service_->serve_one(req);
+    const AdvisorResponse resp = answer(req);
     ASSERT_TRUE(resp.ok()) << resp.error;
     EXPECT_GE(resp.images_in_budget, previous) << "budget " << budget;
     previous = resp.images_in_budget;
@@ -158,73 +169,36 @@ TEST_F(ServeFixture, MoreBudgetNeverMeansFewerImages) {
 TEST_F(ServeFixture, UnknownArchAndInvalidValuesAreLoudErrors) {
   AdvisorRequest req;
   req.arch = "TPU9";
-  AdvisorResponse resp = service_->serve_one(req);
+  AdvisorResponse resp = answer(req);
   EXPECT_FALSE(resp.ok());
   EXPECT_NE(resp.error.find("TPU9"), std::string::npos);
   EXPECT_EQ(resp.images_in_budget, 0);
 
   req = AdvisorRequest{};
   req.tasks = 0;
-  resp = service_->serve_one(req);
+  resp = answer(req);
   EXPECT_FALSE(resp.ok());
   EXPECT_NE(resp.error.find("tasks"), std::string::npos);
 
   req = AdvisorRequest{};
   req.budget_seconds = -1.0;
-  EXPECT_FALSE(service_->serve_one(req).ok());
+  EXPECT_FALSE(answer(req).ok());
 
   // An absurd but non-negative budget is answerable: the count saturates
   // (model/feasibility.*) rather than overflowing to a negative.
   req = AdvisorRequest{};
   req.budget_seconds = 1e30;
-  const AdvisorResponse huge = service_->serve_one(req);
+  const AdvisorResponse huge = answer(req);
   ASSERT_TRUE(huge.ok()) << huge.error;
   EXPECT_EQ(huge.images_in_budget, std::numeric_limits<long>::max());
 }
 
-TEST_F(ServeFixture, BatchMatchesSerialBitForBitAtAnyThreadCount) {
-  // A mixed batch: every arch x renderer, several sizes, one error slot.
-  std::vector<AdvisorRequest> requests;
-  for (const std::string arch : {"CPU1", "GPU1"}) {
-    for (const model::RendererKind kind :
-         {model::RendererKind::kRayTrace, model::RendererKind::kRasterize,
-          model::RendererKind::kVolume}) {
-      for (const int edge : {256, 1024}) {
-        AdvisorRequest req;
-        req.arch = arch;
-        req.renderer = kind;
-        req.image_edge = edge;
-        requests.push_back(req);
-      }
-    }
-  }
-  AdvisorRequest bad;
-  bad.arch = "nope";
-  requests.push_back(bad);
-
-  // Serial reference: serve_one in a loop on the shared (fitted) service.
-  std::vector<AdvisorResponse> serial;
-  for (const AdvisorRequest& req : requests) serial.push_back(service_->serve_one(req));
-
-  // Batched at several thread counts, answering from the fixture's
-  // registry: the same fitted models, no refits, only the fan-out varies.
-  for (const int threads : {1, 3, 4}) {
-    AdvisorService service(tiny_service_config(threads), registry_);
-    const std::vector<AdvisorResponse> batched = service.serve_batch(requests);
-    ASSERT_EQ(batched.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_TRUE(responses_identical(serial[i], batched[i])) << "slot " << i;
-      EXPECT_EQ(to_jsonl(serial[i]), to_jsonl(batched[i])) << "slot " << i;
-    }
-  }
-}
-
-TEST_F(ServeFixture, AnswerBatchMatchesAnswerRequestAtEveryBatchSize) {
-  // The redesign's core contract: answer_batch is a pure function of
+TEST_F(ServeFixture, AnswerBatchIsIdenticalAtEveryBatchSize) {
+  // The evaluator's core contract: answer_batch is a pure function of
   // (fitted models, constants, request[i]) — batch composition and chunk
-  // boundaries cannot change a byte. Reference = the single-item wrapper.
-  const FittedModels& fitted = registry_->models_for(tiny_calibration());
-  const model::MappingConstants& constants = service_->config().constants;
+  // boundaries cannot change a byte. Reference = one request per batch.
+  const FittedModels& fitted = *bundle_;
+  const model::MappingConstants& constants = constants_;
 
   std::vector<AdvisorRequest> requests;
   for (const std::string arch : {"CPU1", "GPU1", "TPU9"}) {
@@ -253,13 +227,8 @@ TEST_F(ServeFixture, AnswerBatchMatchesAnswerRequestAtEveryBatchSize) {
   bad.budget_seconds = -2.0;
   requests.push_back(bad);
 
-  std::vector<AdvisorResponse> reference;
-  for (const AdvisorRequest& req : requests)
-    reference.push_back(answer_request(fitted, constants, req));
-
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64},
-                                  requests.size()}) {
-    // Contiguous overload, one scratch reused across every chunk.
+  // Contiguous overload, one scratch reused across every chunk.
+  const auto contiguous = [&](std::size_t chunk) {
     EvalScratch scratch;
     std::vector<AdvisorResponse> batched(requests.size());
     for (std::size_t begin = 0; begin < requests.size(); begin += chunk) {
@@ -267,6 +236,13 @@ TEST_F(ServeFixture, AnswerBatchMatchesAnswerRequestAtEveryBatchSize) {
       answer_batch(fitted, constants, requests.data() + begin, n,
                    batched.data() + begin, scratch);
     }
+    return batched;
+  };
+  const std::vector<AdvisorResponse> reference = contiguous(1);
+
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                                  requests.size()}) {
+    const std::vector<AdvisorResponse> batched = contiguous(chunk);
     for (std::size_t i = 0; i < reference.size(); ++i) {
       EXPECT_TRUE(responses_identical(reference[i], batched[i]))
           << "chunk " << chunk << " slot " << i;
@@ -300,8 +276,8 @@ TEST_F(ServeFixture, EvalScratchArenaStopsGrowingAfterWarmup) {
   // every identical batch after that bumps pointers inside the same
   // chunks. Capacity and chunk count must be flat after warmup, and each
   // batch must start from a rewound arena (same bytes used every time).
-  const FittedModels& fitted = registry_->models_for(tiny_calibration());
-  const model::MappingConstants& constants = service_->config().constants;
+  const FittedModels& fitted = *bundle_;
+  const model::MappingConstants& constants = constants_;
 
   std::vector<AdvisorRequest> requests(64);
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -334,34 +310,6 @@ TEST_F(ServeFixture, EvalScratchArenaStopsGrowingAfterWarmup) {
   answer_batch(fitted, constants, requests.data(), 7, responses.data(), scratch);
   EXPECT_EQ(scratch.arena.capacity(), warm_capacity);
   EXPECT_LT(scratch.arena.used(), warm_used);
-}
-
-TEST(AdvisorServiceTest, SprBaseFollowsCalibrationSamplingDensity) {
-  // Construction is lazy (no fit), so these are cheap. The default
-  // spr_base sentinel derives from vr_samples so an overridden calibration
-  // density keeps the §5.8 SPR mapping consistent with the corpus.
-  AdvisorService derived(tiny_service_config());  // vr_samples = 120
-  EXPECT_DOUBLE_EQ(derived.config().constants.spr_base, 0.93 * 120);
-
-  ServiceConfig pinned = tiny_service_config();
-  pinned.constants.spr_base = 42.0;  // explicit value wins
-  AdvisorService pinned_service(std::move(pinned));
-  EXPECT_DOUBLE_EQ(pinned_service.config().constants.spr_base, 42.0);
-}
-
-TEST(AdvisorServiceTest, EmptyBatchDoesNotTriggerCalibration) {
-  AdvisorService service(tiny_service_config());
-  EXPECT_TRUE(service.serve_batch({}).empty());
-  EXPECT_EQ(service.registry().fits(), 0);
-}
-
-TEST(AdvisorServiceTest, SharedRegistryFitsOnlyOnce) {
-  const auto registry = std::make_shared<ModelRegistry>();
-  AdvisorService serial(tiny_service_config(1), registry);
-  AdvisorService parallel(tiny_service_config(4), registry);
-  serial.serve_one(AdvisorRequest{});
-  parallel.serve_one(AdvisorRequest{});
-  EXPECT_EQ(registry->fits(), 1);
 }
 
 // --- Wire format ------------------------------------------------------------
@@ -417,7 +365,7 @@ TEST(JsonlParse, RejectsMalformedInputWithReasons) {
   EXPECT_EQ(req.tasks, defaults.tasks);
 }
 
-TEST(JsonlService, ServesBatchesInOrderWithErrorSlots) {
+TEST_F(JsonlService, ServesBatchesInOrderWithErrorSlots) {
   std::istringstream in(
       "{\"arch\":\"CPU1\",\"renderer\":\"raytrace\",\"image_edge\":256}\n"
       "garbage\n"
@@ -425,8 +373,7 @@ TEST(JsonlService, ServesBatchesInOrderWithErrorSlots) {
       "\n"
       "{\"renderer\":\"rasterize\"}\n");
   std::ostringstream out;
-  AdvisorService service(tiny_service_config());
-  const std::size_t answered = run_jsonl(in, out, service);
+  const std::size_t answered = run_jsonl(in, out, handler());
   EXPECT_EQ(answered, 4u);
 
   std::istringstream lines(out.str());
@@ -443,17 +390,16 @@ TEST(JsonlService, ServesBatchesInOrderWithErrorSlots) {
   EXPECT_NE(responses[3].find("\"recommendation\":\""), std::string::npos);
 }
 
-TEST(JsonlService, ResponseLinesMatchServeOneByteForByte) {
-  AdvisorService service(tiny_service_config());
+TEST_F(JsonlService, ResponseLinesMatchTheTypedAnswerByteForByte) {
   AdvisorRequest req;
   req.arch = "GPU1";
   req.renderer = model::RendererKind::kRasterize;
   req.image_edge = 640;
-  const std::string expected = to_jsonl(service.serve_one(req));
+  const std::string expected = to_jsonl(answer(req));
 
   std::istringstream in(R"({"arch":"GPU1","renderer":"rasterize","image_edge":640})");
   std::ostringstream out;
-  run_jsonl(in, out, service);
+  run_jsonl(in, out, handler());
   EXPECT_EQ(out.str(), expected + "\n");
 }
 
@@ -570,14 +516,14 @@ TEST_F(ServeFixture, NonFiniteBudgetsAreRejectedBeforeEvaluation) {
                            -std::numeric_limits<double>::infinity()}) {
     AdvisorRequest req;
     req.budget_seconds = bad;
-    const AdvisorResponse resp = service_->serve_one(req);
+    const AdvisorResponse resp = answer(req);
     EXPECT_FALSE(resp.ok());
     EXPECT_NE(resp.error.find("budget_seconds must be finite"), std::string::npos)
         << resp.error;
   }
 }
 
-TEST(JsonlService, NonFiniteBudgetGetsAnInSlotErrorResponse) {
+TEST_F(JsonlService, NonFiniteBudgetGetsAnInSlotErrorResponse) {
   // End to end through the batch front-end: the poisoned line earns an
   // in-slot error while its neighbors are answered normally.
   std::istringstream in(
@@ -585,8 +531,7 @@ TEST(JsonlService, NonFiniteBudgetGetsAnInSlotErrorResponse) {
       "{\"budget_seconds\":Infinity}\n"
       "{\"renderer\":\"rasterize\",\"image_edge\":128}\n");
   std::ostringstream out;
-  AdvisorService service(tiny_service_config());
-  EXPECT_EQ(run_jsonl(in, out, service), 3u);
+  EXPECT_EQ(run_jsonl(in, out, handler()), 3u);
 
   std::istringstream lines(out.str());
   std::string line;

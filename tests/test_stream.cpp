@@ -3,7 +3,8 @@
 // tiebreak), blocking bounded admission, kick flushes, session lifecycle
 // (close flushes in-flight requests; submit-after-close throws), replay-
 // mode byte-identity under concurrent producers, truncated and reordered
-// replay schedules (answered in-slot / rejected at load, never a hang),
+// replay schedules (answered in-slot / rejected at load, never a hang), a
+// stream closing early under replay without parking its siblings,
 // deterministic shedding under a replayed 2x overload, metrics
 // readability during live streams,
 // and a seeded randomized-interleaving fuzz loop (the TSan CI job's
@@ -13,7 +14,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <future>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -226,7 +230,8 @@ TEST(ScheduleIoTest, SaveLoadRoundTripsAndRejectsGarbage) {
 // --- Stream sessions over a live cluster ------------------------------------
 
 // Clusters share one primary registry so the whole suite pays for a single
-// calibration fit (replicas adopt, never refit) — same as test_cluster.
+// calibration fit (clusters fit on the primary, never per shard) — same as
+// test_cluster.
 class StreamFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -318,7 +323,7 @@ TEST_F(StreamFixture, ReplayReproducesConcurrentProducersByteIdentically) {
           << "stream " << k << " slot " << j << " (replay vs serial)";
     }
   }
-  EXPECT_EQ(recorder.registry_fits(), 1);  // replicas adopted, never refitted
+  EXPECT_EQ(recorder.registry_fits(), 1);  // one fit on the shared primary
 }
 
 TEST_F(StreamFixture, TruncatedReplayAnswersTheUnscheduledTailInSlot) {
@@ -341,6 +346,57 @@ TEST_F(StreamFixture, TruncatedReplayAnswersTheUnscheduledTailInSlot) {
     EXPECT_EQ(serve::to_jsonl(recorded[i]), serve::to_jsonl(replayed[i])) << "slot " << i;
   EXPECT_EQ(replayed[2].status, AdvisorResponse::Status::kError);
   EXPECT_EQ(replayed[2].error, "replay: submission not in the recording");
+}
+
+TEST_F(StreamFixture, EarlyClosedStreamDoesNotParkItsReplaySiblings) {
+  // Streams A and B recorded interleaved (A0 B0 A1 B1 A2 B2). In replay A
+  // submits only its first request and closes: its unconsumed records must
+  // retire with it, or B's second submission waits forever behind A1.
+  const std::vector<AdvisorRequest> a_requests = stream_requests(0, 3);
+  const std::vector<AdvisorRequest> b_requests = stream_requests(1, 3);
+  std::vector<AdvisorResponse> recorded_b;
+  AdmissionSchedule schedule;
+  {
+    ServingCluster recorder(stream_config(2, 0), primary_);
+    recorder.enable_recording();
+    StreamSession a = recorder.open_stream();
+    StreamSession b = recorder.open_stream();
+    for (std::size_t i = 0; i < 3; ++i) {
+      a.submit(a_requests[i]);
+      b.submit(b_requests[i]);
+    }
+    a.close();
+    recorded_b = b.close();
+    schedule = recorder.take_recording();
+  }
+  ASSERT_EQ(schedule.size(), 6u);
+
+  ServingCluster replayer(stream_config(2, 0), primary_);
+  replayer.begin_replay(schedule);
+  StreamSession a = replayer.open_stream();
+  StreamSession b = replayer.open_stream();
+  a.submit(a_requests[0]);
+  a.close();
+  // B replays on its own thread so a regression fails under a bounded wait
+  // instead of hanging the suite.
+  std::packaged_task<std::vector<AdvisorResponse>()> replay_b([&b, &b_requests] {
+    for (const AdvisorRequest& req : b_requests) b.submit(req);
+    return b.close();
+  });
+  std::future<std::vector<AdvisorResponse>> done = replay_b.get_future();
+  std::thread runner(std::move(replay_b));
+  if (done.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    // B is parked on a schedule record nobody will submit and can never
+    // return: report, then end the process rather than hang ctest.
+    ADD_FAILURE() << "stream B's replay is parked behind closed stream A's records";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  runner.join();
+  const std::vector<AdvisorResponse> replayed_b = done.get();
+  ASSERT_EQ(replayed_b.size(), recorded_b.size());
+  for (std::size_t i = 0; i < recorded_b.size(); ++i)
+    EXPECT_EQ(serve::to_jsonl(recorded_b[i]), serve::to_jsonl(replayed_b[i])) << "slot " << i;
 }
 
 TEST_F(StreamFixture, ReorderedScheduleIsRejectedAtLoad) {
