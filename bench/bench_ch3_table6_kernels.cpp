@@ -2,7 +2,7 @@
 // achieved occupancy of the unstructured volume renderer on the GPU
 // (Enzo-10M, close view, 4 passes). Times are measured (simulated device);
 // register counts and occupancy are the paper's nvprof values, reproduced
-// as documented constants of the CUDA kernels we model (EXPERIMENTS.md).
+// as documented constants of the CUDA kernels we model (docs/PAPER_MAP.md).
 #include <cstdio>
 
 #include "common.hpp"

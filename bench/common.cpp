@@ -1,5 +1,7 @@
 #include "common.hpp"
 
+#include <algorithm>
+
 #include "core/env.hpp"
 #include "mesh/fields.hpp"
 #include "mesh/tetrahedralize.hpp"
@@ -50,6 +52,28 @@ Camera far_camera(const AABB& bounds, int width, int height) {
 
 Camera close_camera(const AABB& bounds, int width, int height) {
   return Camera::framing(bounds, width, height, 1.6f);
+}
+
+PairedRatio paired_ratio(const std::function<double()>& a, const std::function<double()>& b) {
+  std::vector<double> ratios;
+  const auto start = std::chrono::steady_clock::now();
+  const auto elapsed = [&start] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  };
+  while (static_cast<int>(ratios.size()) < kMinPairs || elapsed() < kLegBudgetSeconds) {
+    double ta = 0.0, tb = 0.0;
+    if (ratios.size() % 2 == 0) {
+      ta = a();
+      tb = b();
+    } else {
+      tb = b();
+      ta = a();
+    }
+    ratios.push_back(ta > 0.0 ? tb / ta : 0.0);
+  }
+  const auto mid = ratios.begin() + static_cast<std::ptrdiff_t>(ratios.size() / 2);
+  std::nth_element(ratios.begin(), mid, ratios.end());
+  return {*mid, static_cast<int>(ratios.size())};
 }
 
 }  // namespace isr::bench

@@ -4,10 +4,12 @@
 // suite runs on small machines, all data/image sizes are multiplied by
 // ISR_BENCH_SCALE (default 0.35; the paper's sizes correspond to 1.0).
 // Absolute numbers therefore differ from the paper; the reproduction target
-// is the *shape* (orderings, ratios, crossovers) — see EXPERIMENTS.md.
+// is the *shape* (orderings, ratios, crossovers) — see docs/PAPER_MAP.md.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -38,5 +40,30 @@ std::vector<std::string> ch3_dataset_names();
 // studies.
 Camera far_camera(const AABB& bounds, int width, int height);
 Camera close_camera(const AABB& bounds, int width, int height);
+
+// Wall seconds of one call to `fn`.
+template <class Fn>
+double seconds_of(Fn&& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+// A ratio leg's result: the median over pairs of seconds(B) / seconds(A),
+// i.e. A's throughput relative to B's (above 1 means A is faster).
+struct PairedRatio {
+  double median = 0.0;
+  int pairs = 0;
+};
+
+// The time-bounded repeat loop (goma's RenderingBenchmark::run idiom): runs
+// side A and side B in alternating pairs, swapping which side goes first
+// each pair, until kLegBudgetSeconds of wall time is spent and at least
+// kMinPairs pairs ran. Each side runs once per call and returns the seconds
+// of its own timed region, so per-run set-up (a fresh cluster) stays out of
+// the ratio but inside the budget.
+constexpr double kLegBudgetSeconds = 0.1;
+constexpr int kMinPairs = 3;
+PairedRatio paired_ratio(const std::function<double()>& a, const std::function<double()>& b);
 
 }  // namespace isr::bench

@@ -32,7 +32,7 @@
 // client, and overlapping serve_batch calls genuinely overlap.
 //
 // Determinism contract (the cluster's load-bearing promise, enforced by
-// test_cluster, test_stream, and the three cluster benches): a response
+// test_cluster, test_stream, test_fault, test_recal and test_obs): a response
 // is a pure function of (request, fitted models, mapping constants), so
 // WHAT a request answers is identical — byte-identical through
 // serve::to_jsonl — for any shard count, thread count, stream count,

@@ -102,7 +102,7 @@ int Router::route(std::uint64_t corpus_fingerprint, const std::string& arch) {
   // Hot: split the key across its rendezvous shard order (a deterministic
   // per-key permutation of all shards), round-robin per request. The
   // cursor — not a random draw — keeps a fixed request sequence's shard
-  // loads reproducible, which bench_multicorpus_throughput measures.
+  // loads reproducible, which test_cluster's skewed-stream case measures.
   if (entry.rendezvous.empty()) entry.rendezvous = rendezvous_for(key, shards_);
   const std::size_t pick = entry.rr++ % static_cast<std::size_t>(shards_);
   const int shard = entry.rendezvous[pick];

@@ -15,7 +15,7 @@
 //      interleaving and timestamps. Replay turns the one nondeterministic
 //      input into data, which is how the byte-identity contract of the
 //      batch era survives as a test configuration (see test_stream.cpp and
-//      bench_stream_throughput).
+//      test_obs.cpp).
 #pragma once
 
 #include <chrono>

@@ -63,7 +63,7 @@ std::vector<Observation> run_study(const StudyConfig& config, bool verbose = fal
 
 // Exact equality of two observations, every field — the determinism
 // contract run_study guarantees across thread counts. The single source of
-// truth for both the determinism gtest and bench_study_throughput's gate;
+// truth for the determinism gtest (StudyDeterminism in test_study);
 // extend it when adding fields to Observation.
 bool observations_identical(const Observation& a, const Observation& b);
 

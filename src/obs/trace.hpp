@@ -6,7 +6,7 @@
 //   - Zero cost when off. Call sites hold a nullable TraceRecorder* and
 //     guard every hook with `tr && tr->enabled()` — a null check (recorder
 //     absent) or one relaxed atomic load (recorder disabled). Nothing else
-//     runs; bench_trace_overhead gates that the disabled path keeps pace
+//     runs; bench_ratios gates that the disabled path keeps pace
 //     with the recorder-absent path.
 //   - Per-thread rings, drop-oldest. Each recording thread owns one ring;
 //     producers never contend with each other (the per-ring lock has a

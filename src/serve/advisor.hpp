@@ -97,7 +97,7 @@ struct AdvisorResponse {
 const char* status_name(AdvisorResponse::Status status);
 
 // Exact equality of every field — the serial-vs-batched identity contract,
-// single source of truth for test_serve and bench_advisor_throughput.
+// single source of truth for test_serve and test_cluster.
 bool responses_identical(const AdvisorResponse& a, const AdvisorResponse& b);
 
 // Reusable scratch for answer_batch: an arena backing the grouping indices

@@ -5,6 +5,8 @@
 // and ordering tests live in test_stream.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -718,6 +720,64 @@ TEST(MultiCorpusTest, SharedCalibrationDistinctConstantsStaySeparate) {
   EXPECT_NE(responses[0].frame_seconds, responses[1].frame_seconds);
   EXPECT_EQ(serve::to_jsonl(responses[0]), serve::to_jsonl(responses[2]));
   EXPECT_EQ(cluster.registry_fits(), 1);  // one calibration, one fit
+}
+
+// Max/mean over the per-shard evaluated-query counts: 1.0 is a level
+// cluster; shards x (hot share) is one key pinning one shard.
+double shard_load_ratio(const ClusterMetrics& m) {
+  long max_q = 0, total = 0;
+  for (const long q : m.shard_queries) {
+    max_q = std::max(max_q, q);
+    total += q;
+  }
+  if (total == 0) return 0.0;
+  return static_cast<double>(max_q) * static_cast<double>(m.shard_queries.size()) /
+         static_cast<double>(total);
+}
+
+TEST(MultiCorpusTest, HotKeyRebalancingLevelsASkewedStreamWithoutChangingBytes) {
+  // One skewed single-stream run, cache off so every request reaches a
+  // shard: 85% of the traffic is one (corpus, arch) key, the rest spreads
+  // over the other three. Pinned (imbalance_ratio 0), the hot key's home
+  // shard carries almost all of it; rebalanced (1.25), the hot key splits
+  // across the shards. The load must level strictly, and no byte may move.
+  const auto primary = std::make_shared<serve::ModelRegistry>();
+  std::vector<AdvisorRequest> skewed;
+  const char* cold_corpus[3] = {"", "alt", "alt"};
+  const char* cold_arch[3] = {"GPU1", "CPU1", "GPU1"};
+  for (int i = 0; i < 600; ++i) {
+    AdvisorRequest req;
+    if (i % 20 < 17) {
+      req.arch = "CPU1";
+    } else {
+      req.corpus = cold_corpus[i % 3];
+      req.arch = cold_arch[i % 3];
+    }
+    req.n_per_task = 16 + 2 * (i % 8);
+    req.image_edge = 96 + 32 * (i % 4);
+    req.budget_seconds = 30.0 + (i % 16);
+    skewed.push_back(req);
+  }
+
+  const auto run = [&](double imbalance_ratio, double& load_ratio) {
+    ClusterConfig cfg = two_corpus_config(4, 0);
+    cfg.imbalance_ratio = imbalance_ratio;
+    ServingCluster cluster(std::move(cfg), primary);
+    std::vector<AdvisorResponse> responses = cluster.serve_batch(skewed);
+    load_ratio = shard_load_ratio(cluster.metrics());
+    return responses;
+  };
+  double pinned_ratio = 0.0, balanced_ratio = 0.0;
+  const std::vector<AdvisorResponse> pinned = run(0.0, pinned_ratio);
+  const std::vector<AdvisorResponse> balanced = run(1.25, balanced_ratio);
+
+  EXPECT_LT(balanced_ratio, pinned_ratio);
+  ASSERT_EQ(pinned.size(), skewed.size());
+  ASSERT_EQ(balanced.size(), skewed.size());
+  for (std::size_t i = 0; i < skewed.size(); ++i) {
+    EXPECT_TRUE(pinned[i].ok()) << "slot " << i << ": " << pinned[i].error;
+    EXPECT_EQ(serve::to_jsonl(pinned[i]), serve::to_jsonl(balanced[i])) << "slot " << i;
+  }
 }
 
 // --- Percentiles ------------------------------------------------------------

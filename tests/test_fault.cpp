@@ -399,37 +399,61 @@ TEST_F(FaultClusterFixture, WorkerCrashIsRestartedAndTheHeldBatchIsRedriven) {
 }
 
 TEST_F(FaultClusterFixture, SameSeedReproducesTheSameDegradedBytesOnAFreshCluster) {
-  // A mixed-fate schedule: rate 0.6 on eval-throw degrades a request only
-  // when all three of its attempts fire (~22%), so both degraded and
-  // answered responses occur. Two fresh clusters with the same seed must
-  // agree byte-for-byte on every slot, and the answered slots must match a
-  // fault-free run — the injector disturbs only whom it names.
+  // Mixed-fate schedules on two shards. Eval throws alone at rate 0.6
+  // degrade a request only when all three of its attempts fire (~22%).
+  // Throws plus worker crashes at rate 0.35 also kill workers mid-batch, so
+  // the watchdog restarts them and re-drives the held batches while failover
+  // and retries run. Either way both degraded and answered responses occur.
+  // Two fresh clusters with the same seed must agree byte-for-byte on every
+  // slot, and the answered slots must match a fault-free run — the injector
+  // disturbs only whom it names.
   constexpr int kRequests = 24;
   const std::vector<AdvisorRequest> requests = workload(kRequests);
-  const auto chaos = [&] {
-    ServingCluster cluster(
-        chaos_config(2, 31337, 0.6, site_mask(FaultSite::kShardEvalThrow)), primary_);
-    return run_serial(cluster, requests);
-  };
-  const std::vector<AdvisorResponse> first = chaos();
-  const std::vector<AdvisorResponse> second = chaos();
-
   ServingCluster plain(chaos_config(2, 0, 1.0, 0), primary_);
   const std::vector<AdvisorResponse> expected = run_serial(plain, requests);
 
-  ASSERT_EQ(first.size(), static_cast<std::size_t>(kRequests));
-  ASSERT_EQ(second.size(), first.size());
-  int degraded = 0;
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(serve::to_jsonl(first[i]), serve::to_jsonl(second[i])) << "slot " << i;
-    if (first[i].degraded()) {
-      ++degraded;
-    } else {
-      EXPECT_EQ(serve::to_jsonl(expected[i]), serve::to_jsonl(first[i])) << "slot " << i;
+  struct Schedule {
+    const char* label;
+    std::uint64_t seed;
+    double rate;
+    std::uint32_t sites;
+  };
+  const std::uint32_t crash = site_mask(FaultSite::kWorkerCrash);
+  const Schedule schedules[] = {
+      {"eval-throw", 31337, 0.6, site_mask(FaultSite::kShardEvalThrow)},
+      {"eval-throw + worker-crash", 777, 0.35, site_mask(FaultSite::kShardEvalThrow) | crash}};
+  for (const Schedule& schedule : schedules) {
+    SCOPED_TRACE(schedule.label);
+    ClusterMetrics metrics;
+    const auto chaos = [&] {
+      ServingCluster cluster(
+          chaos_config(2, schedule.seed, schedule.rate, schedule.sites), primary_);
+      std::vector<AdvisorResponse> responses = run_serial(cluster, requests);
+      metrics = cluster.metrics();
+      return responses;
+    };
+    const std::vector<AdvisorResponse> first = chaos();
+    const std::vector<AdvisorResponse> second = chaos();
+
+    ASSERT_EQ(first.size(), static_cast<std::size_t>(kRequests));
+    ASSERT_EQ(second.size(), first.size());
+    int degraded = 0;
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      EXPECT_EQ(serve::to_jsonl(first[i]), serve::to_jsonl(second[i])) << "slot " << i;
+      if (first[i].degraded()) {
+        ++degraded;
+      } else {
+        EXPECT_EQ(serve::to_jsonl(expected[i]), serve::to_jsonl(first[i])) << "slot " << i;
+      }
+    }
+    EXPECT_GT(degraded, 0);              // the schedule really injects...
+    EXPECT_LT(degraded, kRequests / 2);  // ...and really spares most
+    EXPECT_GE(metrics.faults_injected, 1);
+    EXPECT_GE(metrics.retries, 1);
+    if (schedule.sites & crash) {
+      EXPECT_GE(metrics.worker_restarts, 1);
     }
   }
-  EXPECT_GT(degraded, 0);          // the schedule really injects...
-  EXPECT_LT(degraded, kRequests);  // ...and really spares
 }
 
 TEST_F(FaultClusterFixture, DisarmedInjectorLeavesEveryByteUntouched) {

@@ -375,6 +375,7 @@ TEST_F(ObsClusterFixture, LiveTraceCoversTheRequestLifecycle) {
   EXPECT_NE(json.find("\"name\":\"cache-probe\""), std::string::npos);
   EXPECT_NE(json.find("\"note\":\"cache-hit\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"batch-drain\""), std::string::npos);
+  EXPECT_EQ(tracer.dropped(), 0u);  // the default ring holds a whole run
 
   // The cluster's stage histograms populated alongside the trace.
   const cluster::ClusterMetrics m = serving.metrics();

@@ -301,7 +301,7 @@ TEST(RecalClusterTest, InvalidationEvictsExactlyTheStaleCorpusEntries) {
   requests.insert(requests.end(), alt.begin(), alt.end());
   const std::size_t per_corpus = requests.size() / 2;
 
-  cluster.serve_batch(requests);  // cold: both partitions warm
+  const std::vector<std::string> epoch1 = jsonl_of(cluster.serve_batch(requests));  // cold
   const ClusterMetrics cold = cluster.metrics();
   EXPECT_EQ(cold.cache_hits, 0);
   EXPECT_EQ(cold.epoch_invalidations, 0);
@@ -310,21 +310,23 @@ TEST(RecalClusterTest, InvalidationEvictsExactlyTheStaleCorpusEntries) {
   cluster.wait_refits();
   EXPECT_EQ(cluster.bundle_epoch("alt"), 2u);
   EXPECT_EQ(cluster.bundle_epoch(""), 1u);  // untouched corpus, untouched epoch
+  EXPECT_EQ(cluster.metrics().refits, 1);   // exactly one swap
 
   // The swap swept EXACTLY alt's partition: every one of alt's entries,
   // none of default's.
   EXPECT_EQ(cluster.metrics().epoch_invalidations,
             static_cast<long>(per_corpus));
 
-  // Warm pass: default's half still hits; alt's half re-evaluates at
-  // epoch 2 and re-populates.
-  cluster.serve_batch(requests);
+  // Warm pass: default's half still hits with its epoch-1 bytes; alt's
+  // half re-evaluates at epoch 2 and re-populates.
+  const std::vector<std::string> epoch2 = jsonl_of(cluster.serve_batch(requests));
   const ClusterMetrics warm = cluster.metrics();
   EXPECT_EQ(warm.cache_hits, static_cast<long>(per_corpus));
+  for (std::size_t i = 0; i < per_corpus; ++i) EXPECT_EQ(epoch2[i], epoch1[i]) << "slot " << i;
 
   // Third pass: everything hits again — the invalidation was a one-time
-  // sweep, not a lingering penalty.
-  cluster.serve_batch(requests);
+  // sweep, not a lingering penalty — and the hits serve the epoch-2 bytes.
+  EXPECT_EQ(jsonl_of(cluster.serve_batch(requests)), epoch2);
   EXPECT_EQ(cluster.metrics().cache_hits - warm.cache_hits,
             static_cast<long>(requests.size()));
 }

@@ -503,6 +503,26 @@ TEST_F(StreamFixture, ShedUnderReplayedOverloadIsDeterministicAndBounded) {
   EXPECT_FALSE(first[0].shed());  // an empty backlog always admits
   EXPECT_GT(shed, kRequests / 4);      // a real 2x overload must shed...
   EXPECT_LT(shed, 3 * kRequests / 4);  // ...but admit its sustainable half
+
+  // Every decision is the one-shard virtual-backlog recurrence: a request
+  // would finish at max(backlog, arrival) + service, is shed when that wait
+  // exceeds its deadline, and only admitted requests extend the backlog.
+  // Shedding is what keeps every admitted wait, p99 included, within the
+  // deadline.
+  constexpr double kServiceUs = 4.0;  // ClusterConfig::replay_service_us
+  double backlog_us = 0.0;
+  double max_admitted_wait_us = 0.0;
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    const auto t = static_cast<double>(schedule[i].t_us);
+    const double done = std::max(backlog_us, t) + kServiceUs;
+    const bool model_sheds = done - t > static_cast<double>(kDeadlineUs);
+    EXPECT_EQ(first[i].shed(), model_sheds) << "slot " << i;
+    if (!model_sheds) {
+      max_admitted_wait_us = std::max(max_admitted_wait_us, done - t);
+      backlog_us = done;
+    }
+  }
+  EXPECT_LE(max_admitted_wait_us, static_cast<double>(kDeadlineUs));
 }
 
 TEST_F(StreamFixture, CloseFlushesInFlightTailPromptly) {
