@@ -64,6 +64,23 @@ void save_schedule(const AdmissionSchedule& schedule, std::ostream& out) {
     out << r.stream << ' ' << r.seq << ' ' << r.t_us << '\n';
 }
 
+namespace {
+
+// A schedule line as echoed in a load error: a short prefix, escaped like
+// the wire format, with non-ASCII bytes masked, so a megabyte of garbage or
+// a stray control byte still gives a one-line, terminal-safe error.
+std::string echo_line(const std::string& line) {
+  constexpr std::size_t kEchoBytes = 48;
+  std::string prefix = line.substr(0, kEchoBytes);
+  for (char& c : prefix)
+    if (static_cast<unsigned char>(c) >= 0x7f) c = '?';
+  std::string echo = serve::json_escape(prefix);
+  if (line.size() > kEchoBytes) echo += "...";
+  return echo;
+}
+
+}  // namespace
+
 bool load_schedule(std::istream& in, AdmissionSchedule& schedule, std::string& error) {
   AdmissionSchedule loaded;
   std::string line;
@@ -77,7 +94,7 @@ bool load_schedule(std::istream& in, AdmissionSchedule& schedule, std::string& e
     long long stream = -1, seq = -1, t_us = 0;
     if (!(fields >> stream >> seq >> t_us) || stream < 0 || seq < 0) {
       error = "schedule line " + std::to_string(line_no) +
-              ": expected \"STREAM SEQ T_US\" (got \"" + line + "\")";
+              ": expected \"STREAM SEQ T_US\" (got \"" + echo_line(line) + "\")";
       return false;
     }
     std::string trailing;

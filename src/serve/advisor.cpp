@@ -1,9 +1,11 @@
 #include "serve/advisor.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 
 #include "model/feasibility.hpp"
 
@@ -260,30 +262,29 @@ void to_jsonl(const AdvisorResponse& r, std::string& out) {
     out += "\"}";
     return;
   }
-  const char* recommendation =
-      r.has_verdict ? (r.prefer_ray_tracing ? "raytrace" : "rasterize") : "";
-  const char* fmt =
-      "{\"ok\":true,\"frame_seconds\":%.9g,\"build_seconds\":%.9g,"
-      "\"images_in_budget\":%ld,\"has_verdict\":%s,\"rt_seconds\":%.9g,"
-      "\"rast_seconds\":%.9g,\"ratio\":%.9g,\"recommendation\":\"%s\"}";
-  const char* verdict = r.has_verdict ? "true" : "false";
-  // One snprintf into a stack buffer covers every real line (~135 bytes of
-  // fixed text, six %.9g fields of <= 16 chars, one saturating long): the
-  // two-pass fallback exists only for pathological formats, never pays on
-  // the hot path.
+  // to_chars(general, 9) spells a double exactly as printf's %.9g. The
+  // line is at most ~155 bytes of fixed text, five numbers of <= 16 chars
+  // and one long of <= 20, so it always fits the stack buffer.
   char buf[320];
-  const int len = std::snprintf(buf, sizeof(buf), fmt, r.frame_seconds, r.build_seconds,
-                                r.images_in_budget, verdict, r.rt_seconds, r.rast_seconds,
-                                r.ratio, recommendation);
-  if (len > 0 && static_cast<std::size_t>(len) < sizeof(buf)) {
-    out.append(buf, static_cast<std::size_t>(len));
-    return;
-  }
-  std::string line(static_cast<std::size_t>(len > 0 ? len : 0), '\0');
-  std::snprintf(&line[0], line.size() + 1, fmt, r.frame_seconds, r.build_seconds,
-                r.images_in_budget, verdict, r.rt_seconds, r.rast_seconds, r.ratio,
-                recommendation);
-  out += line;
+  char* const end = std::end(buf);
+  char* p = buf;
+  const auto field = [&p, end](std::string_view key, double v) {
+    p = std::copy(key.begin(), key.end(), p);
+    p = std::to_chars(p, end, v, std::chars_format::general, 9).ptr;
+  };
+  field("{\"ok\":true,\"frame_seconds\":", r.frame_seconds);
+  field(",\"build_seconds\":", r.build_seconds);
+  const std::string_view budget = ",\"images_in_budget\":";
+  p = std::to_chars(std::copy(budget.begin(), budget.end(), p), end, r.images_in_budget).ptr;
+  field(r.has_verdict ? ",\"has_verdict\":true,\"rt_seconds\":"
+                      : ",\"has_verdict\":false,\"rt_seconds\":",
+        r.rt_seconds);
+  field(",\"rast_seconds\":", r.rast_seconds);
+  field(",\"ratio\":", r.ratio);
+  out.append(buf, static_cast<std::size_t>(p - buf));
+  out += !r.has_verdict          ? ",\"recommendation\":\"\"}"
+         : r.prefer_ray_tracing ? ",\"recommendation\":\"raytrace\"}"
+                                : ",\"recommendation\":\"rasterize\"}";
 }
 
 const char* renderer_token(model::RendererKind kind) {
@@ -295,7 +296,7 @@ const char* renderer_token(model::RendererKind kind) {
   return "?";
 }
 
-bool renderer_from_token(const std::string& token, model::RendererKind& kind) {
+bool renderer_from_token(std::string_view token, model::RendererKind& kind) {
   if (token == "raytrace") kind = model::RendererKind::kRayTrace;
   else if (token == "rasterize") kind = model::RendererKind::kRasterize;
   else if (token == "volume") kind = model::RendererKind::kVolume;

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "core/arena.hpp"
 #include "model/mapping.hpp"
@@ -132,14 +133,15 @@ void answer_batch(const FittedModels& fitted, const model::MappingConstants& con
                   AdvisorResponse* responses, EvalScratch& scratch);
 
 // One response as a JSON line (no trailing newline). Fixed field order and
-// printf-formatted numbers, so identical responses serialize to identical
+// numbers in printf's %.9g spelling (std::to_chars, general format, 9
+// significant digits), so identical responses serialize to identical
 // bytes. Schema documented in docs/ARCHITECTURE.md.
 std::string to_jsonl(const AdvisorResponse& response);
 
 // Zero-copy form: appends the line to a caller-owned reusable buffer (no
-// temporary string churn — an ok line is one snprintf into a stack buffer
-// plus one append). The allocating signature above delegates here; batch
-// serializers reuse one buffer across a whole flush.
+// temporary string churn — an ok line is formatted with to_chars into a
+// stack buffer, then appended once). The allocating signature above
+// delegates here; batch serializers reuse one buffer across a whole flush.
 void to_jsonl(const AdvisorResponse& response, std::string& out);
 
 // The wire format's JSON string escaping (quote, backslash, \u00xx control
@@ -153,7 +155,7 @@ void json_escape(const std::string& s, std::string& out);
 // Renderer tokens used by the wire format: "raytrace" / "rasterize" /
 // "volume". renderer_from_token returns false on anything else.
 const char* renderer_token(model::RendererKind kind);
-bool renderer_from_token(const std::string& token, model::RendererKind& kind);
+bool renderer_from_token(std::string_view token, model::RendererKind& kind);
 
 struct ServiceConfig {
   // The calibration study the models are fitted from. The default is the

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <vector>
 
+#include "math/rng.hpp"
 #include "serve/advisor.hpp"
 #include "serve/jsonl.hpp"
 #include "serve/registry.hpp"
@@ -487,6 +491,99 @@ TEST(JsonlFormat, AppendFormReusesTheCallerBuffer) {
     wire += '\n';
   }
   EXPECT_EQ(wire.capacity(), warm_capacity);
+}
+
+// The serializer as it was before to_chars: printf's %.9g and %ld through
+// one snprintf with a two-pass fallback. Kept as the byte-for-byte oracle
+// for to_jsonl's lines.
+std::string printf_jsonl(const AdvisorResponse& r) {
+  std::string out;
+  if (!r.ok()) {
+    out += "{\"ok\":false,";
+    if (r.shed()) out += "\"shed\":true,";
+    if (r.degraded()) out += "\"degraded\":true,";
+    out += "\"error\":\"";
+    json_escape(r.error, out);
+    out += "\"}";
+    return out;
+  }
+  const char* recommendation =
+      r.has_verdict ? (r.prefer_ray_tracing ? "raytrace" : "rasterize") : "";
+  const char* fmt =
+      "{\"ok\":true,\"frame_seconds\":%.9g,\"build_seconds\":%.9g,"
+      "\"images_in_budget\":%ld,\"has_verdict\":%s,\"rt_seconds\":%.9g,"
+      "\"rast_seconds\":%.9g,\"ratio\":%.9g,\"recommendation\":\"%s\"}";
+  const char* verdict = r.has_verdict ? "true" : "false";
+  char buf[320];
+  const int len = std::snprintf(buf, sizeof(buf), fmt, r.frame_seconds, r.build_seconds,
+                                r.images_in_budget, verdict, r.rt_seconds, r.rast_seconds,
+                                r.ratio, recommendation);
+  if (len > 0 && static_cast<std::size_t>(len) < sizeof(buf)) {
+    out.append(buf, static_cast<std::size_t>(len));
+    return out;
+  }
+  std::string line(static_cast<std::size_t>(len > 0 ? len : 0), '\0');
+  std::snprintf(&line[0], line.size() + 1, fmt, r.frame_seconds, r.build_seconds,
+                r.images_in_budget, verdict, r.rt_seconds, r.rast_seconds, r.ratio,
+                recommendation);
+  out += line;
+  return out;
+}
+
+TEST(JsonlFormat, OkLinesMatchThePrintfFormatterByteForByte) {
+  using limits = std::numeric_limits<double>;
+  const std::vector<double> specials = {
+      0.0, -0.0, limits::denorm_min(), -limits::denorm_min(), limits::min() / 3.0,
+      limits::min(), limits::max(), -limits::max(), limits::infinity(),
+      -limits::infinity(), limits::quiet_NaN(), -limits::quiet_NaN(), 1e-30, 0.1,
+      1.0 / 3.0, 123456789.0, 1234567890.5, 1e15, 9.999999995e-5, 1e10, 60.0};
+  const std::vector<long> longs = {0, 1, -1, 42, std::numeric_limits<long>::min(),
+                                   std::numeric_limits<long>::max()};
+  AdvisorResponse r;
+  r.status = AdvisorResponse::Status::kOk;
+  const auto check = [&r] {
+    std::string line = "kept|";
+    to_jsonl(r, line);
+    ASSERT_EQ(line, "kept|" + printf_jsonl(r));
+  };
+  // Every special in every double field, with every long and both values
+  // of both verdict flags.
+  for (const double v : specials)
+    for (const long images : longs)
+      for (const int flags : {0, 1, 2, 3}) {
+        r.frame_seconds = r.build_seconds = r.rt_seconds = r.rast_seconds = r.ratio = v;
+        r.images_in_budget = images;
+        r.has_verdict = (flags & 1) != 0;
+        r.prefer_ray_tracing = (flags & 2) != 0;
+        check();
+      }
+  // Seeded random bit patterns: NaN payloads, subnormals and every exponent.
+  Rng rng(0x70C4A125ull);
+  const auto random_double = [&rng] {
+    const std::uint64_t bits = rng.next_u64();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+  };
+  for (int i = 0; i < 40000; ++i) {
+    r.frame_seconds = random_double();
+    r.build_seconds = random_double();
+    r.rt_seconds = random_double();
+    r.rast_seconds = random_double();
+    r.ratio = random_double();
+    r.images_in_budget = static_cast<long>(rng.next_u64());
+    r.has_verdict = rng.uniform_int(0, 1) == 1;
+    r.prefer_ray_tracing = rng.uniform_int(0, 1) == 1;
+    check();
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Error lines keep their bytes too, markers and escaping included.
+  for (const auto status : {AdvisorResponse::Status::kError, AdvisorResponse::Status::kShed,
+                            AdvisorResponse::Status::kDegraded}) {
+    r.status = status;
+    r.error = "bad \"value\"\n\x01with\\slash";
+    check();
+  }
 }
 
 // --- Non-finite budgets (every entry point) ---------------------------------

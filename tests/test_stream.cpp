@@ -227,6 +227,73 @@ TEST(ScheduleIoTest, SaveLoadRoundTripsAndRejectsGarbage) {
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
 }
 
+TEST(ScheduleFuzzTest, EveryInputLoadsOrFailsOnOnePrintableLine) {
+  // Seeded garbage against the --replay loader: byte flips over the whole
+  // byte range, control bytes, truncations, shuffled and duplicated lines,
+  // out-of-range numbers and a megabyte-long line. Every input must load
+  // or give one short printable error line — never throw, never echo a
+  // newline, a control byte or the whole input. ISR_STRESS_ITERS (default
+  // 3) scales the rounds; a failure prints its seed.
+  const long rounds = core::env_long("ISR_STRESS_ITERS", 3);
+  constexpr int kInputsPerRound = 2000;
+  for (long seed = 0; seed < rounds; ++seed) {
+    SCOPED_TRACE("fuzz seed " + std::to_string(seed));
+    Rng rng(hash_seed(static_cast<std::uint64_t>(seed), 0x5C4Eull));
+    for (int n = 0; n < kInputsPerRound; ++n) {
+      AdmissionSchedule schedule;
+      std::vector<std::uint64_t> next_seq(3, 0);
+      for (int k = rng.uniform_int(0, 6); k > 0; --k) {
+        const std::uint64_t stream = static_cast<std::uint64_t>(rng.uniform_int(0, 2));
+        schedule.push_back({stream, next_seq[stream]++, rng.uniform_int(0, 1000)});
+      }
+      std::ostringstream saved;
+      save_schedule(schedule, saved);
+      std::string text = saved.str();
+      for (int ops = rng.uniform_int(1, 4); ops > 0; --ops) {
+        const std::size_t pos =
+            static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(text.size())));
+        switch (rng.uniform_int(0, 5)) {
+          case 0:  // any byte, control bytes and high bytes included
+            if (pos < text.size()) text[pos] = static_cast<char>(rng.uniform_int(0, 255));
+            break;
+          case 1:
+            text.resize(pos);
+            break;
+          case 2:
+            text.insert(pos, 1, static_cast<char>(rng.uniform_int(0, 31)));
+            break;
+          case 3: {
+            static const char* const kTokens[] = {"-1", "99999999999999999999", "x", "#",
+                                                  "1 2", "\x1b[2J", "\r", "\t", "0 0 0 0"};
+            text.insert(pos, kTokens[rng.uniform_int(0, 8)]);
+            break;
+          }
+          case 4:  // a duplicated slice: repeated or reordered records
+            text.insert(pos, text.substr(static_cast<std::size_t>(rng.uniform_int(
+                                             0, static_cast<int>(text.size()))),
+                                         24));
+            break;
+          default:
+            text.insert(pos, std::string(static_cast<std::size_t>(rng.uniform_int(1, 200)), 'z'));
+            break;
+        }
+      }
+      if (n == 0) text.insert(0, std::string(1 << 20, 'z') + "\n");  // one huge line a round
+      std::istringstream in(text);
+      AdmissionSchedule loaded;
+      std::string error;
+      bool ok = false;
+      ASSERT_NO_THROW(ok = load_schedule(in, loaded, error));
+      if (ok) continue;
+      ASSERT_FALSE(error.empty());
+      ASSERT_LT(error.size(), 512u) << error.substr(0, 512);
+      for (const char c : error)
+        ASSERT_TRUE(c >= 0x20 && c < 0x7f)
+            << "byte " << static_cast<int>(static_cast<unsigned char>(c)) << " in: " << error;
+    }
+  }
+}
+
 // --- Stream sessions over a live cluster ------------------------------------
 
 // Clusters share one primary registry so the whole suite pays for a single
