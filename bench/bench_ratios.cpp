@@ -45,12 +45,13 @@ namespace {
 // Concurrent streams vs the serialized batch barrier. On a single-core
 // host concurrency cannot add wall-clock throughput, and the measured
 // spread there was 0.90-1.04x, so 0.85 sits below noise while a collapse
-// of the admission pipeline lands well under it. On multi-core hosts the
-// streams leg measures BELOW this floor and the bench exits 1: 0.55-0.62x
-// on a 4-vCPU KVM guest at the last ROADMAP re-anchor, and 0.57x
-// (818,751 vs 1,429,791 q/s at ISR_BENCH_SCALE=0.1) on the same kind of
-// host since. The per-request shard hop costs more than the evaluation it
-// spreads; that is ROADMAP item 2's defect, so the floor is not lowered.
+// of the admission pipeline lands well under it. On a 4-vCPU KVM guest at
+// ISR_BENCH_SCALE=0.1 the streams leg measured 0.67-1.36x (median 0.85,
+// ten runs) while admission paid one lock of each kind per request, and
+// 0.81-1.30x (median 1.09, six runs) once sessions admit buffered runs;
+// earlier hosts of that kind read 0.55-0.62x. Below the floor, the shard
+// hop costs more than the evaluation it spreads (ROADMAP item 2), so the
+// floor is not lowered.
 constexpr double kMatchFloor = 0.85;
 // Chaos vs fault-free. At kFaultRate nearly every batch crashes, so the
 // chaos side is dominated by crash-detection latency (~190 restarts x the

@@ -1,6 +1,5 @@
 #include "cluster/cache.hpp"
 
-#include <charconv>
 #include <cstring>
 #include <iterator>
 #include <utility>
@@ -11,54 +10,61 @@ namespace isr::cluster {
 
 namespace {
 
-// to_chars-based formatting helpers: the key is rebuilt twice per served
-// request (admission lookup, worker insert), so snprintf's format-string
-// parsing was a measurable slice of the cold path.
-inline char* put_decimal(char* p, long long v) {
-  return std::to_chars(p, p + 24, v).ptr;
+template <class T>
+inline char* put_raw(char* p, T v) {
+  std::memcpy(p, &v, sizeof(v));
+  return p + sizeof(v);
 }
 
-inline char* put_hex16(char* p, std::uint64_t v) {
-  static const char kHex[] = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4)
-    *p++ = kHex[(v >> shift) & 0xF];
-  return p;
+inline char* put_string(char* p, const std::string& s) {
+  p = put_raw(p, static_cast<std::uint64_t>(s.size()));
+  if (!s.empty()) std::memcpy(p, s.data(), s.size());
+  return p + s.size();
+}
+
+// The key's 64-bit hash, one 8-byte word at a time: each word is folded in
+// with a multiply-xorshift step, a short tail is zero-padded into one last
+// word, the length seeds the state (so a padded tail cannot alias a longer
+// key), and splitmix64 finalizes. A collision is only ever a cache miss —
+// lookups compare the full key bytes.
+std::uint64_t key_hash(const std::string& key) {
+  const char* p = key.data();
+  std::size_t n = key.size();
+  std::uint64_t h = 0x57A9E5ull ^ (static_cast<std::uint64_t>(n) * 0x9E3779B97F4A7C15ull);
+  const auto fold = [&h](std::uint64_t word) {
+    h = (h ^ word) * 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 31;
+  };
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, 8);
+    fold(word);
+  }
+  if (n > 0) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, n);
+    fold(word);
+  }
+  return splitmix64(h);
 }
 
 }  // namespace
 
 void canonical_request_key_into(const serve::AdvisorRequest& r, std::string& key) {
+  static_assert(sizeof(double) == sizeof(std::uint64_t), "double must be 64-bit");
+  constexpr std::size_t kFixed = sizeof(std::uint64_t) + 5 * sizeof(std::int32_t);
+  key.resize(kFixed + 2 * sizeof(std::uint64_t) + r.arch.size() + r.corpus.size());
+  char* p = key.data();
   std::uint64_t budget_bits = 0;
-  static_assert(sizeof(budget_bits) == sizeof(r.budget_seconds), "double must be 64-bit");
   std::memcpy(&budget_bits, &r.budget_seconds, sizeof(budget_bits));
-  key.clear();
-  key.reserve(r.arch.size() + r.corpus.size() + 64);
-  char scratch[112];
-  char* p = put_decimal(scratch, static_cast<long long>(r.arch.size()));
-  *p++ = ':';
-  key.append(scratch, static_cast<std::size_t>(p - scratch));
-  key += r.arch;
-  p = scratch;
-  *p++ = '|';
-  const char* token = serve::renderer_token(r.renderer);
-  const std::size_t token_len = std::strlen(token);
-  std::memcpy(p, token, token_len);
-  p += token_len;
-  *p++ = '|';
-  p = put_decimal(p, r.n_per_task);
-  *p++ = '|';
-  p = put_decimal(p, r.tasks);
-  *p++ = '|';
-  p = put_decimal(p, r.image_edge);
-  *p++ = '|';
-  p = put_hex16(p, budget_bits);
-  *p++ = '|';
-  p = put_decimal(p, r.frames);
-  *p++ = '|';
-  p = put_decimal(p, static_cast<long long>(r.corpus.size()));
-  *p++ = ':';
-  key.append(scratch, static_cast<std::size_t>(p - scratch));
-  key += r.corpus;
+  p = put_raw(p, budget_bits);
+  p = put_raw(p, static_cast<std::int32_t>(r.renderer));
+  p = put_raw(p, static_cast<std::int32_t>(r.n_per_task));
+  p = put_raw(p, static_cast<std::int32_t>(r.tasks));
+  p = put_raw(p, static_cast<std::int32_t>(r.image_edge));
+  p = put_raw(p, static_cast<std::int32_t>(r.frames));
+  p = put_string(p, r.arch);
+  put_string(p, r.corpus);
 }
 
 std::string canonical_request_key(const serve::AdvisorRequest& r) {
@@ -95,7 +101,7 @@ ResponseCache::ResponseCache(std::size_t entries, int ways, std::size_t partitio
       way->index.reserve(per_way);
       for (std::size_t i = 0; i < per_way; ++i) {
         way->spare.emplace_back();
-        way->spare.back().key.reserve(96);
+        way->spare.back().key.reserve(96);  // a typical key is ~50 bytes
       }
       Index scratch;
       scratch.reserve(per_way);
@@ -110,9 +116,9 @@ ResponseCache::ResponseCache(std::size_t entries, int ways, std::size_t partitio
 }
 
 ResponseCache::Way& ResponseCache::way_for(std::size_t partition, std::uint64_t hash) {
-  // The key bytes are hashed exactly once per cache operation (FNV-1a +
-  // splitmix64 finalizer via hash_combine); way selection uses the low
-  // bits, the index uses the full value through IdentityHash.
+  // The key bytes are hashed exactly once per cache operation (key_hash);
+  // way selection uses the low bits, the index uses the full value through
+  // IdentityHash.
   Partition& p = partitions_[partition];
   return *p.ways[static_cast<std::size_t>(hash % p.ways.size())];
 }
@@ -121,7 +127,7 @@ bool ResponseCache::lookup(std::size_t partition, std::uint64_t epoch,
                            const std::string& key, serve::AdvisorResponse& out) {
   if (!enabled()) return false;
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t h = hash_combine(0x57A9E5ull, key);
+  const std::uint64_t h = key_hash(key);
   Way& way = way_for(partition, h);
   std::lock_guard<std::mutex> lock(way.mutex);
   const auto it = way.index.find(h);
@@ -151,7 +157,7 @@ void ResponseCache::insert(std::size_t partition, std::uint64_t epoch,
                            const std::string& key,
                            const serve::AdvisorResponse& response) {
   if (!enabled()) return;
-  const std::uint64_t h = hash_combine(0x57A9E5ull, key);
+  const std::uint64_t h = key_hash(key);
   Way& way = way_for(partition, h);
   std::lock_guard<std::mutex> lock(way.mutex);
   const auto it = way.index.find(h);

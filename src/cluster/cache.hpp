@@ -32,20 +32,23 @@
 
 namespace isr::cluster {
 
-// The canonical request bytes: every AdvisorRequest field in fixed order,
-// integers in decimal, the budget as its exact IEEE-754 bit pattern (so
-// 0.1 + 0.2 and 0.3 are different keys, as they must be — they produce
-// different predictions), and the arch and corpus strings length-prefixed
-// so no crafted string can collide with another request's encoding. The
-// corpus selector is part of the key, so responses cached for one resident
-// corpus can never be served for another.
+// The canonical request bytes, binary and fixed-layout: the budget's exact
+// IEEE-754 bit pattern (so 0.1 + 0.2 and 0.3 are different keys, as they
+// must be — they produce different predictions, and +0.0/-0.0 or two NaN
+// payloads stay distinct too), then the renderer and n_per_task, tasks,
+// image_edge, frames as raw 32-bit ints, then the arch and the corpus
+// strings, each prefixed with its 64-bit length so no crafted string —
+// embedded NULs or bytes that mimic a length prefix included — can collide
+// with another request's encoding. Host byte order: the key never leaves
+// the process. The corpus selector is part of the key, so responses cached
+// for one resident corpus can never be served for another.
 std::string canonical_request_key(const serve::AdvisorRequest& request);
 
-// Allocation-free form for the serving path: rebuilds the key in `out`
-// (cleared first), reusing its capacity. The key is a pure function of the
-// request, so admission and the drain worker can each rebuild it into a
-// thread-local buffer instead of threading a heap string through the
-// queue. The allocating form above delegates here.
+// Allocation-free form for the serving path: rebuilds the key in `out`,
+// reusing its capacity. The key is a pure function of the request, so
+// admission and the drain worker can each rebuild it into a scratch buffer
+// instead of threading a heap string through the queue. The allocating
+// form above delegates here.
 void canonical_request_key_into(const serve::AdvisorRequest& request, std::string& out);
 
 class ResponseCache {
@@ -99,13 +102,14 @@ class ResponseCache {
     std::uint64_t epoch = 0;
     serve::AdvisorResponse response;
   };
-  // The index is keyed on the splitmix64-finalized key hash, NOT the key
-  // string: the hash is computed once per operation (it also picks the
-  // way), already mixed (the identity hasher is safe), and 8 bytes to
-  // hash-and-compare instead of ~80. A probe that lands on an entry
-  // verifies the full key bytes before trusting it, so a 64-bit collision
-  // degrades to a cache miss / entry replacement — never a wrong response
-  // (the determinism contract does not rest on hashes).
+  // The index is keyed on the key's 64-bit hash (8-byte words mixed one at
+  // a time, splitmix64-finalized), NOT the key string: the hash is
+  // computed once per operation (it also picks the way), already mixed
+  // (the identity hasher is safe), and 8 bytes to hash-and-compare
+  // instead of ~50. A probe that lands on an entry verifies the full key
+  // bytes before trusting it, so a 64-bit collision degrades to a cache
+  // miss / entry replacement — never a wrong response (the determinism
+  // contract does not rest on hashes).
   struct IdentityHash {
     std::size_t operator()(std::uint64_t h) const noexcept {
       return static_cast<std::size_t>(h);

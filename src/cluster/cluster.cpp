@@ -72,6 +72,40 @@ serve::AdvisorResponse degraded_response(const std::string& why) {
 // back to healthy.
 constexpr int kHealthRecoveryPolls = 4;
 
+// Where one request of an admitted run stands: answered in place (unknown
+// corpus, failed fit, cache hit — its response is already collected), shed
+// by the deadline check, or queued on `shard`. `corpus` is the resolved
+// corpus index; the rest is fixed under the admission lock.
+struct RunEntry {
+  enum State : unsigned char { kAnswered, kResolved, kShed, kQueued };
+  State state = kAnswered;
+  bool routed_around_down = false;
+  int corpus = -1;
+  std::size_t shard = 0;
+  double start_us = 0.0;
+  double done_us = 0.0;
+  std::uint64_t admit_seq = 0;
+};
+
+// Per-thread admission scratch: every vector keeps its capacity across
+// runs, so a warmed-up client thread admits without heap traffic beyond
+// what the queue slots themselves recycle. Bundles and items are released
+// at the end of every run, so the scratch never extends a bundle's or a
+// session's lifetime.
+struct AdmitScratch {
+  std::vector<RunEntry> entries;
+  std::vector<serve::BundlePtr> pinned;  // per corpus: the run's pinned bundle
+  std::vector<int> residency;            // per corpus: -1 unchecked, 0 failed, 1 resident
+  std::vector<long> corpus_counts;       // per corpus: requests this run
+  std::string key;                       // the probed request's canonical cache key
+  serve::AdvisorResponse hit;            // the probe's response on a hit
+  std::vector<std::size_t> answer_slots;  // answered in place, delivered in one run
+  std::vector<serve::AdvisorResponse> answers;
+  std::vector<std::vector<StreamItem>> by_shard;
+};
+
+thread_local AdmitScratch admit_scratch;
+
 }  // namespace
 
 ServingCluster::ServingCluster(ClusterConfig config,
@@ -253,42 +287,42 @@ StreamSession ServingCluster::open_stream() {
   return StreamSession(this, std::move(state));
 }
 
-void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::size_t slot,
-                           const serve::AdvisorRequest& request) {
-  // Everything that is a pure function of the request is prepared BEFORE
-  // any lock: the queue item's request copy (string allocations) and the
-  // canonical cache key (formatting + hashing). Concurrent producers pay
-  // only the slim order-dependent section serially — that is what lets N
-  // streams outrun one. The error paths (unknown corpus, cache hit, shed)
-  // discard the prepared item; they are the rare paths, and pessimizing
-  // them keeps the admitted path minimal.
-  StreamItem item;
-  item.request = request;
-  item.session = session;
-  item.slot = slot;
-  item.priority = std::max(0, std::min(7, request.priority));
-  item.enqueued = std::chrono::steady_clock::now();
-  // The canonical key lives in a thread-local buffer for exactly this
-  // admission: the lookup reads it and nothing else keeps it (the drain
-  // worker rebuilds the key itself), so the hot path never heap-allocates
-  // for the cache, hit or miss.
-  static thread_local std::string cache_key;
-  if (cache_->enabled()) canonical_request_key_into(request, cache_key);
-  // Derived from the enqueue timestamp captured above — one clock read per
-  // live admission, and the shed estimate can never postdate the queue span.
+void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::size_t first_slot,
+                           std::vector<serve::AdvisorRequest>& run) {
+  const std::size_t n = run.size();
+  if (n == 0) return;
+  // Record and replay keep one schedule record per submission. run_length()
+  // makes their runs one request long, but a session that buffered submits
+  // before enable_recording() or begin_replay() brings a longer run: admit
+  // it one request at a time, so each submission is recorded (or waits for
+  // its own record) as if it had been admitted at its submit.
+  const bool replaying = replaying_.load(std::memory_order_relaxed);
+  const bool recording = recording_.load(std::memory_order_relaxed);
+  if (n > 1 && (replaying || recording)) {
+    std::vector<serve::AdvisorRequest> one(1);
+    for (std::size_t i = 0; i < n; ++i) {
+      one[0] = std::move(run[i]);
+      admit(session, first_slot + i, one);
+    }
+    return;
+  }
+  // All of the run's slots under one session lock, and one clock read for
+  // the whole run: every request's latency clock starts here, and live
+  // shed decisions all see this timestamp (a request with a deadline ends
+  // its run, so its decision reads a fresh clock).
+  session->allocate_run(first_slot, n);
+  const auto enqueued = std::chrono::steady_clock::now();
   std::int64_t now_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(item.enqueued - epoch_).count();
+      std::chrono::duration_cast<std::chrono::microseconds>(enqueued - epoch_).count();
 
   // Record and replay differ from live admission in exactly three ways,
-  // marked (a)-(c) below. Both flags are set before streams open, so a
-  // relaxed read is stable for the run.
+  // marked (a)-(c) below; every run in these modes is one request long.
   // (a) They hold admission_mutex_ from the top, so the schedule captures
   //     (or pins) every submission, cache hits included. Replay blocks each
   //     submission until the schedule reaches its (stream, seq) — what pins
   //     the interleaving — and substitutes the recorded virtual timestamp.
-  const bool replaying = replaying_.load(std::memory_order_relaxed);
   std::unique_lock<std::mutex> lock(admission_mutex_, std::defer_lock);
-  if (replaying || recording_.load(std::memory_order_relaxed)) {
+  if (replaying || recording) {
     lock.lock();
     if (replaying) {
       // begin_replay checked that each stream's seqs run 0, 1, 2, ... in
@@ -296,17 +330,17 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
       // count. An unscheduled submission is answered now: waiting would
       // park it on a cursor that never reaches it.
       const auto scheduled = replay_len_.find(session->id());
-      if (scheduled == replay_len_.end() || slot >= scheduled->second) {
+      if (scheduled == replay_len_.end() || first_slot >= scheduled->second) {
         lock.unlock();
         serve::AdvisorResponse r;
         r.status = serve::AdvisorResponse::Status::kError;
         r.error = "replay: submission not in the recording";
-        session->deliver(slot, std::move(r));
+        session->deliver(first_slot, std::move(r));
         return;
       }
       replay_cv_.wait(lock, [&] {
         return replay_[replay_cursor_].stream == session->id() &&
-               replay_[replay_cursor_].seq == slot;
+               replay_[replay_cursor_].seq == first_slot;
       });
       now_us = replay_[replay_cursor_++].t_us;
       skip_closed_replay_records();
@@ -316,7 +350,7 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
       now_us = std::chrono::duration_cast<std::chrono::microseconds>(
                    std::chrono::steady_clock::now() - epoch_)
                    .count();
-      recorded_.push_back({session->id(), slot, now_us});
+      recorded_.push_back({session->id(), first_slot, now_us});
     }
   }
 
@@ -326,12 +360,14 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   // emitted HERE, from the schedule's virtual timestamps and the backlog
   // arithmetic, on a per-stream lane — a pure function of (schedule,
   // requests), so the exported trace is byte-identical across fresh
-  // clusters (the workers stay silent).
+  // clusters (the workers stay silent). Every event keeps its per-request
+  // meaning: a run emits one chain per request.
   obs::TraceRecorder* const tr = config_.trace;
   const bool tracing = tr && tr->enabled();
   const bool virt = tracing && tr->virtual_clock();
   const auto stamp = [&] { return virt ? now_us : tr->now_us(); };
-  const auto event = [&](const char* name, const char* note, std::int64_t ts) {
+  const auto event = [&](const char* name, const char* note, std::int64_t ts,
+                         std::size_t slot) {
     obs::TraceEvent e{};
     e.name = name;
     e.cat = "req";
@@ -343,170 +379,245 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
     e.seq = slot;
     return e;
   };
-  // The admit instant reuses the item's enqueue timestamp so it can never
-  // postdate the queue span the worker will stamp from the same clock.
-  if (tracing)
-    tr->record(event("admit", nullptr, virt ? now_us : tr->since_epoch_us(item.enqueued)));
-  // Answers the request at admission. The terminal event is recorded
-  // BEFORE the session handoff (as the shard worker does): once a request's
-  // future resolves, its whole chain is in the rings, so an exporter woken
-  // by the delivery never reads a half-written chain.
-  const auto answer_now = [&](serve::AdvisorResponse&& response, const char* note) {
-    if (tracing) tr->record(event("deliver", note, stamp()));
-    if (lock.owns_lock()) lock.unlock();
-    session->deliver(slot, std::move(response));
+
+  AdmitScratch& s = admit_scratch;
+  const std::size_t n_corpora = corpora_.size();
+  s.entries.assign(n, RunEntry{});
+  s.pinned.resize(n_corpora);
+  s.residency.assign(n_corpora, -1);
+  s.corpus_counts.assign(n_corpora, 0);
+  s.answer_slots.clear();
+  s.answers.clear();
+  // Answers a request at admission. Its terminal trace event is recorded
+  // BEFORE the session handoff (as the shard worker does): once a
+  // request's future resolves, its whole chain is in the rings, so an
+  // exporter woken by the delivery never reads a half-written chain. The
+  // handoff itself is one deliver_run for the whole run, below.
+  const auto answer = [&](std::size_t i, serve::AdvisorResponse&& response,
+                          const char* note) {
+    if (tracing && note) tr->record(event("deliver", note, stamp(), first_slot + i));
+    s.answer_slots.push_back(first_slot + i);
+    s.answers.push_back(std::move(response));
   };
 
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  // corpora_ is immutable after construction; resolution needs no lock.
-  const int corpus_idx = resolve_corpus(request.corpus);
-  if (corpus_idx < 0) {
-    unknown_corpus_queries_.fetch_add(1, std::memory_order_relaxed);
-    serve::AdvisorResponse r;
-    r.status = serve::AdvisorResponse::Status::kError;
-    r.error =
-        "unknown corpus \"" + request.corpus + "\" (not resident on this cluster)";
-    answer_now(std::move(r), "unknown-corpus");
-    return;
+  // Resolution, lazy residency and pinning. corpora_ is immutable after
+  // construction, so resolution needs no lock. The first query naming a
+  // corpus pays its fit here (one-time, serialized under fit_mutex_; under
+  // record/replay it lands at a deterministic point in the admission
+  // order). Each corpus's CURRENT bundle is pinned once per run — from
+  // here on the run's requests are bound to that epoch, whatever a
+  // concurrent refit does.
+  queries_.fetch_add(static_cast<long>(n), std::memory_order_relaxed);
+  long unknown = 0;
+  long degraded = 0;
+  const std::int64_t admit_us = virt ? now_us : tracing ? tr->since_epoch_us(enqueued) : 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const serve::AdvisorRequest& request = run[i];
+    // The admit instant reuses the run's enqueue timestamp so it can never
+    // postdate the queue span the worker will stamp from the same clock.
+    if (tracing) tr->record(event("admit", nullptr, admit_us, first_slot + i));
+    const int c = resolve_corpus(request.corpus);
+    if (c < 0) {
+      ++unknown;
+      serve::AdvisorResponse r;
+      r.status = serve::AdvisorResponse::Status::kError;
+      r.error =
+          "unknown corpus \"" + request.corpus + "\" (not resident on this cluster)";
+      answer(i, std::move(r), "unknown-corpus");
+      continue;
+    }
+    const auto ci = static_cast<std::size_t>(c);
+    ++s.corpus_counts[ci];
+    if (s.residency[ci] < 0) {
+      s.residency[ci] = ensure_corpus_resident(ci) ? 1 : 0;
+      if (s.residency[ci] == 1) s.pinned[ci] = std::atomic_load(&corpora_[ci]->bundle);
+    }
+    if (s.residency[ci] == 0) {
+      ++degraded;
+      const CorpusState& corpus = *corpora_[ci];
+      answer(i,
+             degraded_response("corpus \"" +
+                               (corpus.name.empty() ? std::string("default") : corpus.name) +
+                               "\" unavailable: calibration fit failed"),
+             "degraded");
+      continue;
+    }
+    s.entries[i].state = RunEntry::kResolved;
+    s.entries[i].corpus = c;
   }
-  corpus_queries_[static_cast<std::size_t>(corpus_idx)].fetch_add(
-      1, std::memory_order_relaxed);
-  CorpusState& corpus = *corpora_[static_cast<std::size_t>(corpus_idx)];
-  // Lazy residency: the first query naming a corpus pays its fit here
-  // (one-time, serialized under fit_mutex_; under record/replay it lands
-  // at a deterministic point in the admission order); every later query is
-  // one atomic load. Then pin the CURRENT bundle into the item — from here
-  // on the request is bound to this epoch, whatever a concurrent refit does.
-  if (!ensure_corpus_resident(static_cast<std::size_t>(corpus_idx))) {
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-    answer_now(degraded_response("corpus \"" +
-                                 (corpus.name.empty() ? std::string("default")
-                                                      : corpus.name) +
-                                 "\" unavailable: calibration fit failed"),
-               "degraded");
-    return;
-  }
-  item.bundle = std::atomic_load(&corpus.bundle);
-  item.constants = &corpus.service.constants;
-  item.corpus_index = corpus_idx;
+  if (unknown > 0) unknown_corpus_queries_.fetch_add(unknown, std::memory_order_relaxed);
+  if (degraded > 0) degraded_queries_.fetch_add(degraded, std::memory_order_relaxed);
+  for (std::size_t c = 0; c < n_corpora; ++c)
+    if (s.corpus_counts[c] > 0)
+      corpus_queries_[c].fetch_add(s.corpus_counts[c], std::memory_order_relaxed);
 
   // Cache before routing and before the deadline check: a hit costs no
   // queue time, so shedding it would refuse work the cluster can do for
   // free — and the canonical key excludes deadline/priority, so a hurried
-  // request hits entries its relaxed twin populated. The probe is scoped
-  // to the corpus's partition and the PINNED epoch, so a hit is exactly
-  // the bytes this epoch's evaluation would produce. The cache is
-  // internally lock-sharded; probing it needs no admission lock. The probe
-  // span is wall-clocked, so a virtual trace leaves it out.
+  // request hits entries its relaxed twin populated. Each probe is scoped
+  // to its corpus's partition and the PINNED epoch, so a hit is exactly the
+  // bytes this epoch's evaluation would produce. The cache is internally
+  // lock-sharded; probing it needs no admission lock. The probe spans are
+  // wall-clocked, so a virtual trace leaves them out.
   if (cache_->enabled()) {
     const bool probe_span = tracing && !virt;
-    const std::int64_t probe_begin_us = probe_span ? tr->now_us() : 0;
-    serve::AdvisorResponse hit;
-    const bool was_hit = cache_->lookup(static_cast<std::size_t>(corpus_idx),
-                                        item.bundle->epoch, cache_key, hit);
-    if (probe_span) {
-      obs::TraceEvent probe = event("cache-probe", nullptr, probe_begin_us);
-      probe.phase = 'X';
-      probe.dur_us = tr->now_us() - probe_begin_us;
-      probe.values = 1;
-      probe.v0 = was_hit ? 1 : 0;
-      tr->record(probe);
-    }
-    if (was_hit) {
-      answer_now(std::move(hit), "cache-hit");
-      return;
-    }
-  }
-
-  if (!lock.owns_lock()) lock.lock();
-  std::size_t shard_idx =
-      static_cast<std::size_t>(router_.route(corpus.corpus_key, request.arch));
-  // Failover routing: a shard whose worker is down (crash detected, not
-  // yet restarted) is skipped in favor of the first live shard in the
-  // key's deterministic rendezvous order. Placement never changes bytes;
-  // this only keeps fresh admissions off a queue nobody is draining.
-  bool routed_around_down = false;
-  if (health(shard_idx) == ShardHealth::kDown) {
-    for (const int s : router_.rendezvous_order(corpus.corpus_key, request.arch)) {
-      if (health(static_cast<std::size_t>(s)) != ShardHealth::kDown) {
-        shard_idx = static_cast<std::size_t>(s);
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-        routed_around_down = true;
-        break;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (s.entries[i].state != RunEntry::kResolved) continue;
+      const auto ci = static_cast<std::size_t>(s.entries[i].corpus);
+      canonical_request_key_into(run[i], s.key);
+      const std::int64_t probe_begin_us = probe_span ? tr->now_us() : 0;
+      const bool hit = cache_->lookup(ci, s.pinned[ci]->epoch, s.key, s.hit);
+      if (probe_span) {
+        obs::TraceEvent probe = event("cache-probe", nullptr, probe_begin_us, first_slot + i);
+        probe.phase = 'X';
+        probe.dur_us = tr->now_us() - probe_begin_us;
+        probe.values = 1;
+        probe.v0 = hit ? 1 : 0;
+        tr->record(probe);
+      }
+      if (hit) {
+        s.entries[i].state = RunEntry::kAnswered;
+        answer(i, std::move(s.hit), "cache-hit");
       }
     }
   }
 
-  // Deadline-aware admission control, the Horvitz & Lengyel budget framing
-  // applied to queueing: each shard's backlog_end is the virtual time its
-  // queue drains at; if this request would complete past its deadline,
-  // refuse it NOW with an explicit shed response instead of letting it rot
-  // in the queue. Admitted work advances the backlog. Live admission (and
-  // recording) charges the shard's measured service EWMA from an earliest
-  // start no sooner than its MEASURED queue wait (the stage histogram's
-  // EWMA). (b) Replay charges the fixed replay_service_us with no
-  // measured-wait term, so shedding stays a pure function of (schedule,
-  // requests).
-  Shard& shard = *shards_[shard_idx];
-  const double service_us =
-      replaying ? config_.replay_service_us : shard.service_estimate_us();
-  const double wait_us = replaying ? 0.0 : shard.queue_wait_estimate_us();
-  double& backlog = backlog_end_us_[shard_idx];
-  const double start_us = std::max(backlog, static_cast<double>(now_us) + wait_us);
-  const double done_us = start_us + service_us;
-  if (request.deadline_us > 0 &&
-      done_us - static_cast<double>(now_us) > static_cast<double>(request.deadline_us)) {
-    shed_queries_.fetch_add(1, std::memory_order_relaxed);
-    lock.unlock();
-    if (tracing) {
-      obs::TraceEvent shed = event("shed", "deadline", stamp());
-      shed.values = 2;
-      shed.v0 = static_cast<std::int64_t>(done_us) - now_us;
-      shed.v1 = request.deadline_us;
-      tr->record(shed);
+  // The order-dependent section, once per run under admission_mutex_:
+  // routing (the router's decaying load counters), shed accounting against
+  // the per-shard virtual backlog, and the admission sequence. A run
+  // answered entirely in place (all hits, say) never takes the lock.
+  long shed = 0;
+  bool any_queued = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    RunEntry& entry = s.entries[i];
+    if (entry.state != RunEntry::kResolved) continue;
+    if (!lock.owns_lock()) lock.lock();
+    const serve::AdvisorRequest& request = run[i];
+    const CorpusState& corpus = *corpora_[static_cast<std::size_t>(entry.corpus)];
+    std::size_t shard_idx =
+        static_cast<std::size_t>(router_.route(corpus.corpus_key, request.arch));
+    // Failover routing: a shard whose worker is down (crash detected, not
+    // yet restarted) is skipped in favor of the first live shard in the
+    // key's deterministic rendezvous order. Placement never changes bytes;
+    // this only keeps fresh admissions off a queue nobody is draining.
+    if (health(shard_idx) == ShardHealth::kDown) {
+      for (const int sh : router_.rendezvous_order(corpus.corpus_key, request.arch)) {
+        if (health(static_cast<std::size_t>(sh)) != ShardHealth::kDown) {
+          shard_idx = static_cast<std::size_t>(sh);
+          failovers_.fetch_add(1, std::memory_order_relaxed);
+          entry.routed_around_down = true;
+          break;
+        }
+      }
     }
-    session->deliver(slot, shed_response(static_cast<long>(done_us) - now_us,
-                                         request.deadline_us));
-    return;
+    // Deadline-aware admission control, the Horvitz & Lengyel budget
+    // framing applied to queueing: each shard's backlog_end is the virtual
+    // time its queue drains at; if this request would complete past its
+    // deadline, refuse it NOW with an explicit shed response instead of
+    // letting it rot in the queue. Admitted work advances the backlog.
+    // Live admission (and recording) charges the shard's measured service
+    // EWMA from an earliest start no sooner than its MEASURED queue wait
+    // (the stage histogram's EWMA). (b) Replay charges the fixed
+    // replay_service_us with no measured-wait term, so shedding stays a
+    // pure function of (schedule, requests).
+    const Shard& shard = *shards_[shard_idx];
+    const double service_us =
+        replaying ? config_.replay_service_us : shard.service_estimate_us();
+    const double wait_us = replaying ? 0.0 : shard.queue_wait_estimate_us();
+    double& backlog = backlog_end_us_[shard_idx];
+    entry.start_us = std::max(backlog, static_cast<double>(now_us) + wait_us);
+    entry.done_us = entry.start_us + service_us;
+    if (request.deadline_us > 0 && entry.done_us - static_cast<double>(now_us) >
+                                       static_cast<double>(request.deadline_us)) {
+      entry.state = RunEntry::kShed;
+      ++shed;
+      continue;
+    }
+    backlog = entry.done_us;
+    entry.state = RunEntry::kQueued;
+    entry.shard = shard_idx;
+    entry.admit_seq = admit_seq_++;
+    any_queued = true;
   }
-  backlog = done_us;
-  item.admit_seq = admit_seq_++;
-  lock.unlock();
-  if (tracing && !virt && routed_around_down)
-    tr->record(event("failover", "admission", tr->now_us()));
+  if (lock.owns_lock()) lock.unlock();
+  if (shed > 0) shed_queries_.fetch_add(shed, std::memory_order_relaxed);
 
-  if (virt) {
-    // (c) The admitted request's remaining virtual chain: it waits in the
-    // queue until the shard's virtual backlog reaches it, evaluates for
-    // the fixed replay service cost, and delivers at its virtual
-    // completion. Truncation is monotone (floor(a) <= floor(b) for
-    // a <= b), so the spans can never disorder.
-    const auto e_start = static_cast<std::int64_t>(start_us);
-    const auto e_end = static_cast<std::int64_t>(done_us);
-    obs::TraceEvent span = event("queue", nullptr, now_us);
-    span.phase = 'X';
-    span.dur_us = e_start - now_us;
-    tr->record(span);
-    span.name = "eval";
-    span.ts_us = e_start;
-    span.dur_us = e_end - e_start;
-    tr->record(span);
-    tr->record(event("deliver", nullptr, e_end));
+  // Outside the lock: shed answers, the admitted requests' trace
+  // annotations, and the queue items, grouped per shard in run order.
+  if (s.by_shard.size() < shards_.size()) s.by_shard.resize(shards_.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const RunEntry& entry = s.entries[i];
+    const std::size_t slot = first_slot + i;
+    serve::AdvisorRequest& request = run[i];
+    if (entry.state == RunEntry::kShed) {
+      const long estimated_us = static_cast<long>(entry.done_us) - now_us;
+      if (tracing) {
+        obs::TraceEvent shed_event = event("shed", "deadline", stamp(), slot);
+        shed_event.values = 2;
+        shed_event.v0 = static_cast<std::int64_t>(entry.done_us) - now_us;
+        shed_event.v1 = request.deadline_us;
+        tr->record(shed_event);
+      }
+      answer(i, shed_response(estimated_us, request.deadline_us), nullptr);
+      continue;
+    }
+    if (entry.state != RunEntry::kQueued) continue;
+    if (tracing && !virt && entry.routed_around_down)
+      tr->record(event("failover", "admission", tr->now_us(), slot));
+    if (virt) {
+      // (c) The admitted request's remaining virtual chain: it waits in the
+      // queue until the shard's virtual backlog reaches it, evaluates for
+      // the fixed replay service cost, and delivers at its virtual
+      // completion. Truncation is monotone (floor(a) <= floor(b) for
+      // a <= b), so the spans can never disorder.
+      const auto e_start = static_cast<std::int64_t>(entry.start_us);
+      const auto e_end = static_cast<std::int64_t>(entry.done_us);
+      obs::TraceEvent span = event("queue", nullptr, now_us, slot);
+      span.phase = 'X';
+      span.dur_us = e_start - now_us;
+      tr->record(span);
+      span.name = "eval";
+      span.ts_us = e_start;
+      span.dur_us = e_end - e_start;
+      tr->record(span);
+      tr->record(event("deliver", nullptr, e_end, slot));
+    }
+    const auto ci = static_cast<std::size_t>(entry.corpus);
+    StreamItem& item = s.by_shard[entry.shard].emplace_back();
+    item.priority = std::max(0, std::min(7, request.priority));
+    if (request.deadline_us > 0) item.deadline_at_us = now_us + request.deadline_us;
+    item.request = std::move(request);
+    item.corpus_key = corpora_[ci]->corpus_key;
+    item.bundle = s.pinned[ci];
+    item.constants = &corpora_[ci]->service.constants;
+    item.corpus_index = entry.corpus;
+    item.session = session;
+    item.slot = slot;
+    item.admit_seq = entry.admit_seq;
+    item.enqueued = enqueued;
   }
+  std::fill(s.pinned.begin(), s.pinned.end(), nullptr);
+  if (!s.answers.empty())
+    session->deliver_run(s.answer_slots.data(), s.answers.data(), s.answers.size());
+  if (!any_queued) return;
 
-  item.corpus_key = corpus.corpus_key;
-  if (request.deadline_us > 0) item.deadline_at_us = now_us + request.deadline_us;
-  // Blocking bounded push OUTSIDE the admission lock: backpressure from a
-  // full queue stalls this admitter only. Everything order-dependent
-  // (shed accounting, admit_seq) is already fixed, and the ordered queue
-  // serves by key, so arrival order cannot change results. A false return
-  // means shutdown raced this admission — the queue will never drain the
-  // item, so answer it here or close() would hang on the owed slot (a
-  // virtual chain already holds its terminal event).
-  if (!shard.enqueue(std::move(item))) {
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (tracing && !virt) tr->record(event("deliver", "degraded", tr->now_us()));
-    session->deliver(slot, degraded_response("cluster shut down before evaluation"));
+  // One blocking push_run per shard OUTSIDE the admission lock:
+  // backpressure from a full queue stalls this admitter only. Everything
+  // order-dependent (shed accounting, admit_seq) is already fixed, and the
+  // ordered queue serves by key, so arrival order cannot change results.
+  // A short push means shutdown raced this admission — the queue will
+  // never drain the rest, so answer them here or close() would hang on the
+  // owed slots (a virtual chain already holds its terminal event).
+  for (std::size_t sh = 0; sh < shards_.size(); ++sh) {
+    std::vector<StreamItem>& items = s.by_shard[sh];
+    if (items.empty()) continue;
+    const std::size_t pushed = shards_[sh]->enqueue_run(items.data(), items.size());
+    for (std::size_t k = pushed; k < items.size(); ++k) {
+      degraded_queries_.fetch_add(1, std::memory_order_relaxed);
+      if (tracing && !virt) tr->record(event("deliver", "degraded", tr->now_us(), items[k].slot));
+      session->deliver(items[k].slot, degraded_response("cluster shut down before evaluation"));
+    }
+    items.clear();
   }
 }
 
@@ -847,13 +958,22 @@ std::uint64_t ServingCluster::bundle_epoch(const std::string& name) const {
 
 std::uint64_t StreamSession::submit(const serve::AdvisorRequest& request) {
   if (!state_) throw std::logic_error("StreamSession: submit on a closed session");
-  const std::size_t slot = state_->allocate_slot();
-  cluster_->admit(state_, slot, request);
-  return slot;
+  const std::uint64_t seq = submitted_++;
+  pending_.push_back(request);
+  // A deadline ends the run, so its shed decision reads a fresh clock.
+  if (pending_.size() >= cluster_->run_length() || request.deadline_us > 0) admit_pending();
+  return seq;
+}
+
+void StreamSession::admit_pending() {
+  if (pending_.empty()) return;
+  cluster_->admit(state_, static_cast<std::size_t>(submitted_ - pending_.size()), pending_);
+  pending_.clear();
 }
 
 std::vector<serve::AdvisorResponse> StreamSession::close() {
   if (!state_) return {};
+  admit_pending();
   // Retire the stream (releasing replay siblings parked behind its unused
   // records) and flush partial shard batches so the tail is answered
   // promptly, then wait out every owed slot. The state_ reset is what

@@ -9,8 +9,10 @@
 // requests carry a `corpus` selector.
 //
 // Serving is a continuous admission pipeline, not a one-shot batch call:
-// any number of clients hold StreamSession handles and submit concurrently,
-// each request flowing
+// any number of clients hold StreamSession handles and submit concurrently.
+// A session buffers its submissions and admits them in RUNS (batch_size
+// requests, cut short by a request with a deadline or by close(); one
+// request under record/replay), each request of a run flowing
 //
 //   submit ──corpus selector──> resident corpus (unknown name: in-slot
 //                  │             error response, no routing)
@@ -79,24 +81,31 @@
 // disarmed injector (the default) leaves every fault branch dead and the
 // byte-identity contract above untouched.
 //
-// Locking, in admission order (no path holds two of these at once except
-// admission -> a session's own mutex inside deliver):
+// Locking, in admission order. Each lock is taken once per admitted run
+// (once per probed request, for the cache's ways), and no path holds two
+// of these at once except record/replay, which probes the cache under
+// admission_mutex_ (admission -> way, never the reverse):
+//   the session's mutex — allocate_run reserves the run's response slots;
+//     deliver/deliver_run fill them (one deliver_run for everything a run
+//     answers in place).
+//   the cache's way mutexes — each resolved request's probe locks its
+//     way, with no admission lock held.
 //   admission_mutex_ — the order-dependent heart: routing (the router's
 //     decaying load counters), shed accounting against the per-shard
-//     virtual backlog, and the admission sequence. Live admission holds it
-//     only for that slim section — request copies, the canonical cache
-//     key, corpus resolution (immutable after construction), the cache
-//     probe (internally lock-sharded), and the admission counters
-//     (atomics) all happen outside, which is what lets N concurrent
-//     producers outrun one. Under record/replay the same admit() takes it
-//     from the top instead, so the schedule captures (or pins) every
-//     submission, cache hits included.
-//   per-shard queue + stats locks — bounded blocking enqueue happens
-//     OUTSIDE admission_mutex_ (a full queue must not stall other
-//     admitters or a replay waiter; the admission-order guarantees are
-//     already fixed by then). The per-shard stats lock also guards the
-//     cumulative stage histograms metrics() merges — bounded memory, no
-//     reservoir, no cluster-level metrics lock anymore.
+//     virtual backlog, and the admission sequence, for the whole run in
+//     one hold. Request copies, the canonical cache keys, corpus
+//     resolution (immutable after construction), bundle pinning, the
+//     cache probe, and the admission counters (atomics) all happen
+//     outside, which is what lets N concurrent producers outrun one.
+//     Under record/replay the same admit() takes it from the top instead,
+//     so the schedule captures (or pins) every submission, cache hits
+//     included.
+//   per-shard queue + stats locks — one bounded blocking push_run per
+//     shard happens OUTSIDE admission_mutex_ (a full queue must not stall
+//     other admitters or a replay waiter; the admission-order guarantees
+//     are already fixed by then). The per-shard stats lock also guards
+//     the cumulative stage histograms metrics() merges — bounded memory,
+//     no reservoir, no cluster-level metrics lock anymore.
 //
 // Observability (PR 9): config.trace (nullable) wires an obs::TraceRecorder
 // through admission and the shard workers. Live runs stamp wall
@@ -160,7 +169,7 @@ struct ClusterConfig {
   std::size_t cache_entries = 1024;  // total ResponseCache entries; 0 = off
 
   std::size_t queue_capacity = 1024;  // per-shard admission queue bound
-  std::size_t batch_size = 64;        // coalescing flush threshold
+  std::size_t batch_size = 64;        // coalescing flush threshold and admission run length
   double batch_deadline_ms = 0.5;     // coalescing deadline
 
   // Hot-key rebalancing (see cluster/router.hpp): when one (corpus, arch)
@@ -367,14 +376,31 @@ class ServingCluster {
   // residency first) and returns the epoch lower bound, or 0.
   std::uint64_t schedule_refit(const std::string& name, bool drift);
 
-  // The one admission path (StreamSession::submit lands here): resolve,
-  // cache, route, shed-or-enqueue. `session` rides into the StreamItem so
-  // the shard can deliver. Record and replay differ from live admission
-  // only in holding admission_mutex_ from the top, in replay's virtual
-  // timestamp and fixed service cost, and in replay's virtual-clock trace
-  // chain — all marked inside.
-  void admit(const std::shared_ptr<SessionState>& session, std::size_t slot,
-             const serve::AdvisorRequest& request);
+  // The one admission path (StreamSession lands here with each buffered
+  // run): allocates the run's slots under one session lock, reads the
+  // clock once, pins each corpus's bundle once, answers unknown-corpus and
+  // fit-failed requests in their slots, probes the cache, routes/sheds/
+  // sequences the rest under one hold of admission_mutex_, and pushes one
+  // sub-run per shard. Requests are moved out of `run`; slots run from
+  // `first_slot` (the session's seqs). Record and replay differ from live
+  // admission only in holding admission_mutex_ from the top (their runs
+  // are one request long; a longer run, buffered before the mode began,
+  // is admitted one request at a time), in replay's virtual timestamp and
+  // fixed service cost, and in replay's virtual-clock trace chain — all
+  // marked inside.
+  void admit(const std::shared_ptr<SessionState>& session, std::size_t first_slot,
+             std::vector<serve::AdvisorRequest>& run);
+
+  // Requests per admitted run (StreamSession::submit's buffer bound): the
+  // coalescing batch size live, so a run fills about one shard batch, and
+  // 1 under record/replay, so every submission is admitted — recorded, or
+  // pinned to its schedule record — at its own submit.
+  std::size_t run_length() const {
+    return recording_.load(std::memory_order_relaxed) ||
+                   replaying_.load(std::memory_order_relaxed)
+               ? 1
+               : config_.batch_size;
+  }
 
   // StreamSession::close support. Under replay, the stream's unconsumed
   // schedule records are retired first (a stream closing before it
@@ -488,26 +514,38 @@ class ServingCluster {
   std::atomic<long> streams_{0};
 };
 
-// A client's submission handle: submit() enqueues one request (returning
-// its per-stream sequence number), close() flushes and blocks until every
-// submitted request has its response, returning them in submission order.
-// One session belongs to one client thread (the handle itself is not
-// thread-safe; the cluster is, across sessions). Sessions are movable,
-// not copyable; destroying an open session closes it and discards the
-// responses. A session must not outlive its cluster.
+// A client's submission handle: submit() buffers one request (returning
+// its per-stream sequence number), close() admits what is buffered and
+// blocks until every submitted request has its response, returning them in
+// submission order. Buffered requests are admitted as one run when the
+// buffer reaches ClusterConfig::batch_size, when a request carries
+// deadline_us > 0 (its shed decision then reads a fresh clock), or at
+// close()/destruction; under record/replay every submit is its own run.
+// Responses are only observable at close(), so buffering changes no
+// result. One session belongs to one client thread (the handle itself is
+// not thread-safe; the cluster is, across sessions). Sessions are movable
+// (the buffer moves too), not copyable; destroying an open session closes
+// it and discards the responses. A session must not outlive its cluster.
 class StreamSession {
  public:
   StreamSession() = default;
   StreamSession(StreamSession&& other) noexcept
-      : cluster_(other.cluster_), state_(std::move(other.state_)) {
+      : cluster_(other.cluster_),
+        state_(std::move(other.state_)),
+        pending_(std::move(other.pending_)),
+        submitted_(other.submitted_) {
     other.cluster_ = nullptr;
+    other.pending_.clear();
   }
   StreamSession& operator=(StreamSession&& other) noexcept {
     if (this != &other) {
       if (state_) close();
       cluster_ = other.cluster_;
       state_ = std::move(other.state_);
+      pending_ = std::move(other.pending_);
+      submitted_ = other.submitted_;
       other.cluster_ = nullptr;
+      other.pending_.clear();
     }
     return *this;
   }
@@ -521,14 +559,14 @@ class StreamSession {
   std::uint64_t id() const { return state_ ? state_->id() : 0; }
 
   // Submits one request; its response will occupy slot `seq` (the return
-  // value) of close()'s vector. Blocks only for queue backpressure — or,
-  // in replay mode, until the schedule reaches this (stream, seq). Throws
-  // std::logic_error on a closed session.
+  // value) of close()'s vector. Blocks only when it admits a run: for
+  // queue backpressure — or, in replay mode, until the schedule reaches
+  // this (stream, seq). Throws std::logic_error on a closed session.
   std::uint64_t submit(const serve::AdvisorRequest& request);
 
-  // Flushes in-flight requests (partial shard batches are kicked), waits
-  // for every response, and returns them in submission order. The session
-  // is spent afterwards (open() == false).
+  // Admits the buffered run, flushes in-flight requests (partial shard
+  // batches are kicked), waits for every response, and returns them in
+  // submission order. The session is spent afterwards (open() == false).
   std::vector<serve::AdvisorResponse> close();
 
  private:
@@ -536,8 +574,13 @@ class StreamSession {
   StreamSession(ServingCluster* cluster, std::shared_ptr<SessionState> state)
       : cluster_(cluster), state_(std::move(state)) {}
 
+  // Hands the buffered run to ServingCluster::admit and empties the buffer.
+  void admit_pending();
+
   ServingCluster* cluster_ = nullptr;
   std::shared_ptr<SessionState> state_;
+  std::vector<serve::AdvisorRequest> pending_;  // submitted, not yet admitted
+  std::uint64_t submitted_ = 0;                 // the next submit's seq
 };
 
 }  // namespace isr::cluster

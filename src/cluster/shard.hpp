@@ -94,13 +94,17 @@ class Shard {
   // crashed one the watchdog never got to.
   void stop();
 
-  // Admission: blocking bounded push (admitters are client threads; the
-  // cluster sheds at admission time, so a full queue means "wait", never
-  // "help drain"). Returns false only after shutdown — the caller must
-  // then answer the item itself (deliver an error), or close() would hang.
+  // Admission: blocking bounded push of one admitted run's sub-run for
+  // this shard (admitters are client threads; the cluster sheds at
+  // admission time, so a full queue means "wait", never "help drain").
+  // Returns how many items went in; fewer than `count` only after
+  // shutdown — the caller must then answer items[returned..count) itself
+  // (deliver an error), or close() would hang.
   // kick() flushes the current partial batch to the worker — a closing
   // stream's in-flight tail must not wait out the coalescing deadline.
-  bool enqueue(StreamItem&& item) { return queue_.push(std::move(item)); }
+  std::size_t enqueue_run(StreamItem* items, std::size_t count) {
+    return queue_.push_run(items, count);
+  }
   // Non-blocking variant for the failover path: workers and the watchdog
   // re-drive items with this (falling back to inline evaluation on a full
   // queue), because a blocking push from a worker into a sibling's full

@@ -8,11 +8,12 @@
 
 namespace isr::cluster {
 
-std::size_t SessionState::allocate_slot() {
+void SessionState::allocate_run(std::size_t first, std::size_t count) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (closed_) throw std::logic_error("StreamSession: submit after close");
-  responses_.emplace_back();
-  return responses_.size() - 1;
+  if (first != responses_.size())
+    throw std::logic_error("StreamSession: admitted run does not start at the next slot");
+  responses_.resize(first + count);
 }
 
 void SessionState::deliver(std::size_t slot, serve::AdvisorResponse&& response) {

@@ -72,20 +72,25 @@ class SessionState {
 
   std::uint64_t id() const { return id_; }
 
-  // Reserves the next response slot (== the request's per-stream seq).
-  // Throws std::logic_error after close(): submit-after-close is a client
-  // bug, not a race to tolerate.
-  std::size_t allocate_slot();
+  // Reserves response slots [first, first + count) for one admitted run —
+  // the requests' per-stream seqs, which StreamSession::submit already
+  // handed out, so `first` must be the number of slots reserved so far.
+  // Throws std::logic_error after close() (submit-after-close is a client
+  // bug, not a race to tolerate) or on a run that does not start there.
+  void allocate_run(std::size_t first, std::size_t count);
 
   // Writes one response into its slot and wakes a drain waiter when it was
-  // the last one owed. Called by admission (cache hits, unknown-corpus
-  // errors, shed refusals) and by shard workers (evaluated responses).
+  // the last one owed. Called by shard workers (evaluated responses), the
+  // failover path, and admission's single answers (an unscheduled replay
+  // submission, a queue closed under a run).
   void deliver(std::size_t slot, serve::AdvisorResponse&& response);
 
-  // Batched delivery for a shard's fast-lane drain: one lock acquisition
-  // for a run of responses all landing in this session (responses[i] moves
-  // into slots[i]). Identical outcome to `count` deliver() calls — slots
-  // address the writes, so delivery grouping can never reorder a stream.
+  // Batched delivery: one lock acquisition for a run of responses all
+  // landing in this session (responses[i] moves into slots[i]) — a shard
+  // drain's per-session stretch, or the requests an admitted run answers
+  // in place (cache hits, unknown-corpus errors, shed refusals). Identical
+  // outcome to `count` deliver() calls — slots address the writes, so
+  // delivery grouping can never reorder a stream.
   void deliver_run(const std::size_t* slots, serve::AdvisorResponse* responses,
                    std::size_t count);
 
@@ -129,7 +134,7 @@ struct StreamItem {
   std::int64_t deadline_at_us = std::numeric_limits<std::int64_t>::max();
   std::uint64_t admit_seq = 0;
   // (No cache key rides here: the canonical key is a pure function of
-  // `request`, so the drain worker rebuilds it into a thread-local buffer
+  // `request`, so the drain worker rebuilds it into its own key buffers
   // instead of carrying a per-item heap string through the queue.)
   std::chrono::steady_clock::time_point enqueued;  // latency clock start
   // Fault-tolerance bookkeeping: how many injected faults THIS item has

@@ -8,11 +8,11 @@
 // one), but it is deliberately generic — batching-with-a-deadline is the
 // standard latency/throughput dial for any streaming consumer.
 //
-// Backpressure contract: the queue is bounded; push() BLOCKS for room
-// (admitters are client threads with nothing better to do, and shedding —
-// not helping — is the overload policy), while try_push() returns false
-// when the queue is full (or closed) and leaves the decision to the
-// producer.
+// Backpressure contract: the queue is bounded; push() and push_run() BLOCK
+// for room (admitters are client threads with nothing better to do, and
+// shedding — not helping — is the overload policy), while try_push()
+// returns false when the queue is full (or closed) and leaves the decision
+// to the producer.
 #pragma once
 
 #include <algorithm>
@@ -61,17 +61,29 @@ class OrderedBatchQueue {
 
   // Blocking bounded push: waits for room, returns false only when the
   // queue is (or becomes) closed — the item is untouched in that case.
-  bool push(T&& item) {
-    bool wake;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      push_cv_.wait(lock, [&] { return closed_ || heap_.size() < capacity_; });
-      if (closed_) return false;
-      heap_push(std::move(item));
-      wake = heap_.size() >= wanted_;
+  bool push(T&& item) { return push_run(&item, 1) == 1; }
+
+  // Run form of push: moves items[0..count) in, in order, blocking for room
+  // like push(). Each stretch of free room is filled under one lock
+  // acquisition (and at most one consumer wake), so an admitted run costs
+  // one lock per stretch instead of one per item. Returns how many items
+  // went in: fewer than `count` only when the queue is (or becomes)
+  // closed, in which case items[returned..count) are untouched.
+  std::size_t push_run(T* items, std::size_t count) {
+    std::size_t pushed = 0;
+    while (pushed < count) {
+      bool wake;
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        push_cv_.wait(lock, [&] { return closed_ || heap_.size() < capacity_; });
+        if (closed_) return pushed;
+        while (pushed < count && heap_.size() < capacity_)
+          heap_push(std::move(items[pushed++]));
+        wake = heap_.size() >= wanted_;
+      }
+      if (wake) pop_cv_.notify_one();
     }
-    if (wake) pop_cv_.notify_one();
-    return true;
+    return pushed;
   }
 
   // Non-blocking variant: returns false when the queue is full or closed.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -238,6 +239,48 @@ TEST(CanonicalKeyTest, IgnoresDeadlineAndPriority) {
   r.deadline_us = 999999;
   r.priority = 7;
   EXPECT_EQ(canonical_request_key(r), key);
+}
+
+TEST(CanonicalKeyTest, BinaryKeyKeepsTrickyRequestsDistinct) {
+  const auto bits_to_double = [](std::uint64_t bits) {
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+  };
+  std::vector<AdvisorRequest> tricky(8);
+  tricky[0].budget_seconds = 0.0;
+  tricky[1].budget_seconds = -0.0;  // == +0.0, but a different bit pattern
+  tricky[2].budget_seconds = bits_to_double(0x7FF8000000000001ull);  // two NaN payloads
+  tricky[3].budget_seconds = bits_to_double(0x7FF8000000000002ull);
+  // Bytes that mimic a length prefix: "x" + le64(2) + "yz" as the arch
+  // must not collide with arch "x" and corpus "yz".
+  const std::uint64_t two = 2;
+  tricky[4].arch = "x";
+  tricky[4].corpus = "yz";
+  tricky[5].arch = std::string("x") + std::string(reinterpret_cast<const char*>(&two), 8) + "yz";
+  tricky[5].corpus = "";
+  // Embedded NULs, in the arch and in the corpus.
+  tricky[6].arch = std::string("CPU1\0", 5);
+  tricky[7].corpus = std::string("a\0b", 3);
+  std::vector<std::string> keys;
+  for (const AdvisorRequest& r : tricky) keys.push_back(canonical_request_key(r));
+  keys.push_back(canonical_request_key(AdvisorRequest{}));  // arch "CPU1", corpus ""
+  AdvisorRequest nul_c = tricky[7];
+  nul_c.corpus = std::string("a\0c", 3);
+  keys.push_back(canonical_request_key(nul_c));
+  for (std::size_t a = 0; a < keys.size(); ++a)
+    for (std::size_t b = a + 1; b < keys.size(); ++b)
+      EXPECT_NE(keys[a], keys[b]) << "keys " << a << " and " << b;
+
+  // The cache keeps every one of them apart.
+  ResponseCache cache(64, /*ways=*/4);
+  for (std::size_t k = 0; k < keys.size(); ++k)
+    cache.insert(0, 1, keys[k], ok_response(static_cast<double>(k)));
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    AdvisorResponse out;
+    ASSERT_TRUE(cache.lookup(0, 1, keys[k], out)) << "key " << k;
+    EXPECT_EQ(out.frame_seconds, static_cast<double>(k)) << "key " << k;
+  }
 }
 
 // --- Response cache ---------------------------------------------------------

@@ -5,8 +5,9 @@
 // mode byte-identity under concurrent producers, truncated and reordered
 // replay schedules (answered in-slot / rejected at load, never a hang), a
 // stream closing early under replay without parking its siblings,
-// deterministic shedding under a replayed 2x overload, metrics
-// readability during live streams,
+// deterministic shedding under a replayed 2x overload, buffered runs
+// (run-boundary byte identity, deadline-triggered admission, sessions
+// moved with buffered submits), metrics readability during live streams,
 // and a seeded randomized-interleaving fuzz loop (the TSan CI job's
 // stress surface — every failure prints its seed).
 #include <gtest/gtest.h>
@@ -466,6 +467,60 @@ TEST_F(StreamFixture, EarlyClosedStreamDoesNotParkItsReplaySiblings) {
     EXPECT_EQ(serve::to_jsonl(recorded_b[i]), serve::to_jsonl(replayed_b[i])) << "slot " << i;
 }
 
+TEST_F(StreamFixture, ModeSwitchWithBufferedSubmitsKeepsOneRecordPerSubmission) {
+  // Below batch_size a live session only buffers. Recording enabled while
+  // submits wait must still capture one record per submission, and a
+  // replay begun while submits wait must pin each to its own record: a
+  // buffered run that shared one record would lose the others' records
+  // and park the next submission on a record nobody submits.
+  const std::vector<AdvisorRequest> requests = stream_requests(5, 6);
+  std::vector<AdvisorResponse> expected;
+  {
+    ServingCluster reference(stream_config(1, 0), primary_);
+    expected = reference.serve_batch(requests);
+  }
+
+  ServingCluster recorder(stream_config(2, 0), primary_);
+  StreamSession session = recorder.open_stream();
+  for (std::size_t j = 0; j < 3; ++j) session.submit(requests[j]);
+  EXPECT_EQ(recorder.metrics().queries, 0);
+  recorder.enable_recording();
+  for (std::size_t j = 3; j < requests.size(); ++j) session.submit(requests[j]);
+  const std::vector<AdvisorResponse> recorded = session.close();
+  const AdmissionSchedule schedule = recorder.take_recording();
+  ASSERT_EQ(schedule.size(), requests.size());
+  for (std::size_t j = 0; j < schedule.size(); ++j) {
+    EXPECT_EQ(schedule[j].stream, 0u) << "record " << j;
+    EXPECT_EQ(schedule[j].seq, j) << "record " << j;
+  }
+
+  ServingCluster replayer(stream_config(2, 0), primary_);
+  StreamSession replayed_session = replayer.open_stream();
+  for (std::size_t j = 0; j < 2; ++j) replayed_session.submit(requests[j]);
+  replayer.begin_replay(schedule);
+  // On its own thread, so a regression fails under a bounded wait instead
+  // of hanging the suite.
+  std::packaged_task<std::vector<AdvisorResponse>()> replay([&] {
+    for (std::size_t j = 2; j < requests.size(); ++j) replayed_session.submit(requests[j]);
+    return replayed_session.close();
+  });
+  std::future<std::vector<AdvisorResponse>> done = replay.get_future();
+  std::thread runner(std::move(replay));
+  if (done.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    ADD_FAILURE() << "a replayed submission is parked on a record nobody submits";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  runner.join();
+  const std::vector<AdvisorResponse> replayed = done.get();
+  ASSERT_EQ(recorded.size(), requests.size());
+  ASSERT_EQ(replayed.size(), requests.size());
+  for (std::size_t j = 0; j < requests.size(); ++j) {
+    EXPECT_EQ(serve::to_jsonl(recorded[j]), serve::to_jsonl(expected[j])) << "slot " << j;
+    EXPECT_EQ(serve::to_jsonl(replayed[j]), serve::to_jsonl(expected[j])) << "slot " << j;
+  }
+}
+
 TEST_F(StreamFixture, ReorderedScheduleIsRejectedAtLoad) {
   // Per-stream seqs out of order (0, 2, 1) would park the admitter of
   // seq 1 on a cursor that never reaches it; both entry points refuse such
@@ -630,6 +685,144 @@ TEST_F(StreamFixture, SessionLifecycleEdges) {
   // serve_batch rides the same pipeline: stream ids keep advancing.
   cluster.serve_batch(stream_requests(0, 2));
   EXPECT_EQ(cluster.metrics().streams, 3);
+}
+
+TEST_F(StreamFixture, RunBoundariesAnswerLikeAnswerBatchPlusInSlotErrors) {
+  // Buffered submits are admitted in runs: batch_size requests, cut short
+  // by a request with a deadline, or by close(). Sessions of 1,
+  // batch_size - 1, batch_size, batch_size + 1 and 1000 submits must all
+  // answer exactly what answer_batch answers, plus the in-slot lines the
+  // cluster owes its refusals — and every run mixes cache hits (a small
+  // shared key set), unknown-corpus and fit-failed requests, and deadline
+  // requests a huge starting service estimate sheds.
+  constexpr std::size_t kBatch = 8;
+  ClusterConfig config = stream_config(2, 256);
+  config.batch_size = kBatch;
+  config.service.constants.spr_base = 0.93 * config.service.calibration.vr_samples;
+  config.replay_service_us = 1e12;  // the live estimate starts here and decays per batch
+  CorpusConfig broken;
+  broken.name = "broken";
+  broken.service = config.service;
+  broken.service.calibration.seed += 1000;
+  config.corpora = {broken};
+  // The first fault seed whose fit-fail decisions fail "broken" on every
+  // attempt and spare the default corpus on its first.
+  const std::uint64_t default_fp = serve::ModelRegistry::fingerprint(config.service.calibration);
+  const std::uint64_t broken_fp = serve::ModelRegistry::fingerprint(broken.service.calibration);
+  config.fault.rate = 0.5;
+  config.fault.sites = 1u << static_cast<int>(core::FaultSite::kCorpusFitFail);
+  for (std::uint64_t seed = 1; config.fault.seed == 0; ++seed) {
+    core::FaultConfig candidate = config.fault;
+    candidate.seed = seed;
+    core::FaultInjector probe(candidate);
+    bool fails_broken = true;
+    for (int attempt = 0; attempt <= config.retry_limit; ++attempt)
+      fails_broken = fails_broken &&
+                     probe.should_fire(core::FaultSite::kCorpusFitFail, broken_fp,
+                                       static_cast<std::uint64_t>(attempt));
+    if (fails_broken && !probe.should_fire(core::FaultSite::kCorpusFitFail, default_fp, 0))
+      config.fault.seed = seed;
+  }
+  ServingCluster cluster(config, primary_);
+
+  // Request j of a session: an unknown corpus at j % 8 == 2, the broken
+  // corpus at 4, a one-microsecond deadline on a never-repeated shape at 6,
+  // and otherwise one of 12 default-corpus shapes (repeats hit the cache).
+  const auto make_request = [](std::size_t session, std::size_t j) {
+    AdvisorRequest req;
+    const std::size_t shape = (j * 5) % 12;
+    req.arch = shape % 2 == 0 ? "CPU1" : "GPU1";
+    req.renderer = static_cast<model::RendererKind>(shape % 3);
+    req.image_edge = 96 + 16 * static_cast<int>(shape);
+    req.n_per_task = 16 + static_cast<int>(shape % 4);
+    if (j % 8 == 2) req.corpus = "ghost";
+    if (j % 8 == 4) req.corpus = "broken";
+    if (j % 8 == 6) {
+      req.deadline_us = 1;
+      req.budget_seconds = 1.0 + static_cast<double>(session * 10000 + j);
+    }
+    return req;
+  };
+  const serve::BundlePtr bundle = primary_->bundle_for(config.service.calibration);
+  long shed = 0, unknown = 0, degraded = 0, submitted = 0;
+  for (const std::size_t size : {std::size_t{1}, kBatch - 1, kBatch, kBatch + 1, std::size_t{1000}}) {
+    SCOPED_TRACE("session of " + std::to_string(size));
+    std::vector<AdvisorRequest> requests;
+    for (std::size_t j = 0; j < size; ++j) requests.push_back(make_request(size, j));
+    std::vector<AdvisorResponse> expected(size);
+    serve::EvalScratch scratch;
+    serve::answer_batch(*bundle, config.service.constants, requests.data(), size,
+                        expected.data(), scratch);
+    StreamSession session = cluster.open_stream();
+    for (std::size_t j = 0; j < size; ++j) EXPECT_EQ(session.submit(requests[j]), j);
+    const std::vector<AdvisorResponse> got = session.close();
+    ASSERT_EQ(got.size(), size);
+    submitted += static_cast<long>(size);
+    for (std::size_t j = 0; j < size; ++j) {
+      AdvisorResponse want = expected[j];
+      if (requests[j].corpus == "ghost") {
+        ++unknown;
+        want = AdvisorResponse{};
+        want.status = AdvisorResponse::Status::kError;
+        want.error = "unknown corpus \"ghost\" (not resident on this cluster)";
+      } else if (requests[j].corpus == "broken") {
+        ++degraded;
+        want = AdvisorResponse{};
+        want.status = AdvisorResponse::Status::kDegraded;
+        want.error = "degraded: corpus \"broken\" unavailable: calibration fit failed";
+      } else if (got[j].shed()) {
+        ++shed;
+        EXPECT_GT(requests[j].deadline_us, 0) << "slot " << j;
+        EXPECT_EQ(got[j].error.rfind("shed: estimated completion in ", 0), 0u) << got[j].error;
+        continue;
+      }
+      EXPECT_EQ(serve::to_jsonl(got[j]), serve::to_jsonl(want)) << "slot " << j;
+    }
+  }
+  const ClusterMetrics m = cluster.metrics();
+  EXPECT_EQ(m.queries, submitted);
+  EXPECT_EQ(m.unknown_corpus_queries, unknown);
+  EXPECT_EQ(m.degraded_queries, degraded);
+  EXPECT_EQ(m.shed_queries, shed);
+  EXPECT_GT(shed, 0);  // the first deadline request meets the undecayed estimate
+  EXPECT_GT(m.cache_hits, 0);
+}
+
+TEST_F(StreamFixture, BufferedRunsAdmitOnADeadlineAndMoveWithTheSession) {
+  ClusterConfig config = stream_config(2, 0);
+  config.batch_size = 16;  // longer than any run below: only deadlines and close() admit
+  ServingCluster cluster(std::move(config), primary_);
+  const std::vector<AdvisorRequest> requests = stream_requests(4, 6);
+  std::vector<AdvisorResponse> expected;
+  {
+    ServingCluster reference(stream_config(1, 0), primary_);
+    expected = reference.serve_batch(requests);
+  }
+
+  // Below batch_size, submits only buffer; a deadline admits the run at
+  // once, so its shed decision reads a fresh clock.
+  StreamSession first = cluster.open_stream();
+  for (std::size_t j = 0; j < 3; ++j) first.submit(requests[j]);
+  EXPECT_EQ(cluster.metrics().queries, 0);
+  AdvisorRequest hurried = requests[3];
+  hurried.deadline_us = 100000000;  // 100 s: admitted, never shed
+  first.submit(hurried);
+  EXPECT_EQ(cluster.metrics().queries, 4);
+
+  // A session moved with buffered submits carries them along: the target's
+  // close() admits and answers them, in submission order.
+  first.submit(requests[4]);
+  StreamSession second = std::move(first);
+  EXPECT_FALSE(first.open());
+  EXPECT_EQ(second.submit(requests[5]), 5u);
+  StreamSession third = cluster.open_stream();
+  third = std::move(second);  // the target's own (empty) session closes first
+  EXPECT_EQ(cluster.metrics().queries, 4);
+  const std::vector<AdvisorResponse> got = third.close();
+  ASSERT_EQ(got.size(), requests.size());
+  for (std::size_t j = 0; j < requests.size(); ++j)
+    EXPECT_EQ(serve::to_jsonl(got[j]), serve::to_jsonl(expected[j])) << "slot " << j;
+  EXPECT_EQ(cluster.metrics().queries, 6);
 }
 
 TEST_F(StreamFixture, MetricsStaySaneDuringALiveStream) {
