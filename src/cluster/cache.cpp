@@ -1,8 +1,7 @@
 #include "cluster/cache.hpp"
 
+#include <algorithm>
 #include <cstring>
-#include <iterator>
-#include <utility>
 
 #include "math/rng.hpp"
 
@@ -73,54 +72,24 @@ std::string canonical_request_key(const serve::AdvisorRequest& r) {
   return key;
 }
 
-ResponseCache::ResponseCache(std::size_t entries, int ways, std::size_t partitions) {
+ResponseCache::ResponseCache(std::size_t entries, std::size_t partitions) {
   if (entries == 0) return;  // disabled
-  if (partitions < 1) partitions = 1;
+  partitions_ = partitions > 0 ? partitions : 1;
   // Every partition gets an equal, nonzero quota: a resident corpus with a
   // cache at all must be able to hold at least one entry, even when the
   // operator configures fewer total entries than corpora.
-  const std::size_t quota = entries / partitions > 0 ? entries / partitions : 1;
-  if (ways < 1) ways = 1;
-  if (static_cast<std::size_t>(ways) > quota) ways = static_cast<int>(quota);
-  const std::size_t per_way =
-      (quota + static_cast<std::size_t>(ways) - 1) / static_cast<std::size_t>(ways);
-  partitions_.resize(partitions);
-  for (Partition& partition : partitions_) {
-    partition.ways.reserve(static_cast<std::size_t>(ways));
-    for (int w = 0; w < ways; ++w) {
-      auto way = std::make_unique<Way>();
-      way->capacity = per_way;
-      // The way can never hold more than its capacity, so ALL of its
-      // storage is paid for here: the index's buckets (no rehash during
-      // fill), a spare list node per slot, and a detached index node per
-      // slot (materialized through a scratch map, then extracted — a
-      // node handle keeps its allocation and its key's buffer). A cold
-      // fill then consumes pre-built nodes instead of calling malloc
-      // per insert, which is most of what made a cache-filling run slower
-      // than an uncached one.
-      way->index.reserve(per_way);
-      for (std::size_t i = 0; i < per_way; ++i) {
-        way->spare.emplace_back();
-        way->spare.back().key.reserve(96);  // a typical key is ~50 bytes
-      }
-      Index scratch;
-      scratch.reserve(per_way);
-      for (std::size_t i = 0; i < per_way; ++i)
-        scratch.emplace(static_cast<std::uint64_t>(i), way->spare.begin());
-      way->node_pool.reserve(per_way);
-      while (!scratch.empty())
-        way->node_pool.push_back(scratch.extract(scratch.begin()));
-      partition.ways.push_back(std::move(way));
-    }
+  const std::size_t quota = std::max<std::size_t>(1, entries / partitions_);
+  ways_per_partition_ = (quota + 63) / 64;
+  slots_per_way_ = (quota + ways_per_partition_ - 1) / ways_per_partition_;
+  // A way never holds more than its slots, so all of its storage — key
+  // buffers included — is paid for here and a fill never calls malloc.
+  ways_ = std::make_unique<Way[]>(partitions_ * ways_per_partition_);
+  for (std::size_t w = 0; w < partitions_ * ways_per_partition_; ++w) {
+    ways_[w].hashes.assign(slots_per_way_, 0);
+    ways_[w].ticks.assign(slots_per_way_, 0);
+    ways_[w].entries.resize(slots_per_way_);
+    for (Entry& entry : ways_[w].entries) entry.key.reserve(96);  // a key is ~60 bytes
   }
-}
-
-ResponseCache::Way& ResponseCache::way_for(std::size_t partition, std::uint64_t hash) {
-  // The key bytes are hashed exactly once per cache operation (key_hash);
-  // way selection uses the low bits, the index uses the full value through
-  // IdentityHash.
-  Partition& p = partitions_[partition];
-  return *p.ways[static_cast<std::size_t>(hash % p.ways.size())];
 }
 
 bool ResponseCache::lookup(std::size_t partition, std::uint64_t epoch,
@@ -130,25 +99,19 @@ bool ResponseCache::lookup(std::size_t partition, std::uint64_t epoch,
   const std::uint64_t h = key_hash(key);
   Way& way = way_for(partition, h);
   std::lock_guard<std::mutex> lock(way.mutex);
-  const auto it = way.index.find(h);
-  if (it == way.index.end()) return false;
-  // A 64-bit hash collision between distinct keys is a plain miss — the
-  // stored bytes are the identity, the hash is only the lookup shortcut.
-  if (it->second->key != key) return false;
-  if (it->second->epoch != epoch) {
-    // Stale entry from a superseded epoch: evict in passing — no future
+  std::size_t i = 0;
+  while (i < slots_per_way_ && !way.holds(i, h, key)) ++i;
+  if (i == slots_per_way_) return false;
+  const Entry& entry = way.entries[i];
+  if (entry.epoch != epoch) {
+    // Stale entry from a superseded epoch: empty it in passing — no future
     // lookup can want it. A NEWER entry (the looker pinned an old bundle
-    // mid-swap) is left alone; the post-swap traffic wants it. Both nodes
-    // go back to the way's pre-allocated pools, not to the heap.
-    if (it->second->epoch < epoch) {
-      const auto entry = it->second;
-      way.node_pool.push_back(way.index.extract(it));
-      way.spare.splice(way.spare.begin(), way.lru, entry);
-    }
+    // mid-swap) is left alone; the post-swap traffic wants it.
+    if (entry.epoch < epoch) way.ticks[i] = 0;
     return false;
   }
-  way.lru.splice(way.lru.begin(), way.lru, it->second);  // refresh recency
-  out = it->second->response;
+  way.ticks[i] = ++way.clock;  // refresh recency
+  out = entry.response;
   hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -160,74 +123,40 @@ void ResponseCache::insert(std::size_t partition, std::uint64_t epoch,
   const std::uint64_t h = key_hash(key);
   Way& way = way_for(partition, h);
   std::lock_guard<std::mutex> lock(way.mutex);
-  const auto it = way.index.find(h);
-  if (it != way.index.end()) {
-    // Refresh — or, on a 64-bit collision with a different key, replace
-    // the colliding entry (an eviction the LRU was allowed anyway).
-    Entry& entry = *it->second;
-    if (entry.key != key) entry.key.assign(key);
-    entry.epoch = epoch;
-    entry.response = response;
-    way.lru.splice(way.lru.begin(), way.lru, it->second);
-    return;
+  // The slot already holding the key, else the lowest tick: an empty slot
+  // (tick 0) if there is one, otherwise the least recently used entry.
+  // One pass does both. Ticks stay far below 2^58, so (tick << 6 | slot)
+  // orders slots by tick and carries the winner's index, and the min over
+  // it is branch-free.
+  std::size_t slot = slots_per_way_;
+  std::uint64_t least = ~std::uint64_t{0};
+  for (std::size_t i = 0; i < slots_per_way_; ++i) {
+    if (way.holds(i, h, key)) {
+      slot = i;
+      break;
+    }
+    least = std::min(least, way.ticks[i] << 6 | i);
   }
-  if (way.lru.size() >= way.capacity) {
-    // Evict-by-recycling: splice the LRU node to the front and overwrite
-    // it, re-homing its index slot through a node handle — a full way
-    // turns over entries with zero list/map allocations (assign() copies
-    // the key bytes into the victim's existing buffer).
-    const auto victim = std::prev(way.lru.end());
-    auto node = way.index.extract(victim->hash);
-    way.lru.splice(way.lru.begin(), way.lru, victim);
-    victim->key.assign(key);
-    victim->hash = h;
-    victim->epoch = epoch;
-    victim->response = response;
-    node.key() = h;
-    node.mapped() = victim;
-    way.index.insert(std::move(node));
-    return;
-  }
-  // Filling: consume one pre-built list node and one pre-built index node
-  // (see the constructor). The fallbacks only matter for entries displaced
-  // into a way beyond its nominal share by invalidate_stale churn.
-  if (!way.spare.empty()) {
-    way.lru.splice(way.lru.begin(), way.spare, way.spare.begin());
-  } else {
-    way.lru.emplace_front();
-  }
-  Entry& entry = way.lru.front();
+  if (slot == slots_per_way_) slot = static_cast<std::size_t>(least & 63);
+  Entry& entry = way.entries[slot];
   entry.key.assign(key);
-  entry.hash = h;
   entry.epoch = epoch;
   entry.response = response;
-  if (!way.node_pool.empty()) {
-    auto node = std::move(way.node_pool.back());
-    way.node_pool.pop_back();
-    node.key() = h;
-    node.mapped() = way.lru.begin();
-    way.index.insert(std::move(node));
-  } else {
-    way.index.emplace(h, way.lru.begin());
-  }
+  way.hashes[slot] = h;
+  way.ticks[slot] = ++way.clock;
 }
 
 std::size_t ResponseCache::invalidate_stale(std::size_t partition,
                                             std::uint64_t keep_epoch) {
-  if (!enabled() || partition >= partitions_.size()) return 0;
+  if (partition >= partitions_) return 0;
   std::size_t evicted = 0;
-  for (const auto& way : partitions_[partition].ways) {
-    std::lock_guard<std::mutex> lock(way->mutex);
-    for (auto it = way->lru.begin(); it != way->lru.end();) {
-      if (it->epoch < keep_epoch) {
-        // Recycle both nodes into the way's pools (see insert): a refit
-        // sweep frees capacity without surrendering it to the heap.
-        way->node_pool.push_back(way->index.extract(it->hash));
-        const auto stale = it++;
-        way->spare.splice(way->spare.begin(), way->lru, stale);
+  for (std::size_t w = 0; w < ways_per_partition_; ++w) {
+    Way& way = ways_[partition * ways_per_partition_ + w];
+    std::lock_guard<std::mutex> lock(way.mutex);
+    for (std::size_t i = 0; i < slots_per_way_; ++i) {
+      if (way.ticks[i] != 0 && way.entries[i].epoch < keep_epoch) {
+        way.ticks[i] = 0;
         ++evicted;
-      } else {
-        ++it;
       }
     }
   }
@@ -236,25 +165,11 @@ std::size_t ResponseCache::invalidate_stale(std::size_t partition,
 
 std::size_t ResponseCache::size() const {
   std::size_t total = 0;
-  for (const Partition& partition : partitions_)
-    for (const auto& way : partition.ways) {
-      std::lock_guard<std::mutex> lock(way->mutex);
-      total += way->lru.size();
-    }
-  return total;
-}
-
-std::size_t ResponseCache::capacity() const {
-  std::size_t total = 0;
-  for (const Partition& partition : partitions_)
-    for (const auto& way : partition.ways) total += way->capacity;
-  return total;
-}
-
-std::size_t ResponseCache::partition_capacity(std::size_t partition) const {
-  if (partition >= partitions_.size()) return 0;
-  std::size_t total = 0;
-  for (const auto& way : partitions_[partition].ways) total += way->capacity;
+  for (std::size_t w = 0; w < partitions_ * ways_per_partition_; ++w) {
+    std::lock_guard<std::mutex> lock(ways_[w].mutex);
+    total += slots_per_way_ - static_cast<std::size_t>(std::count(
+                                  ways_[w].ticks.begin(), ways_[w].ticks.end(), 0u));
+  }
   return total;
 }
 

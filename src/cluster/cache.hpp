@@ -1,19 +1,20 @@
 // Response cache for the serving cluster: an LRU keyed by the canonical
-// byte serialization of a request, sharded into independently locked ways
-// so concurrent shard workers do not serialize on one mutex. A hit returns
-// the stored AdvisorResponse verbatim — and because a response is a pure
-// function of (request, fitted models), a cached response is bitwise the
-// response evaluation would have produced, so cache state can never change
-// the bytes a client sees (the cluster's determinism contract).
+// byte serialization of a request, split into independently locked ways
+// of at most 64 slots, so concurrent shard workers do not serialize on one
+// mutex. A hit returns the stored AdvisorResponse verbatim — and because a
+// response is a pure function of (request, fitted models), a cached
+// response is bitwise the response evaluation would have produced, so
+// cache state can never change the bytes a client sees (the cluster's
+// determinism contract).
 //
-// Lifecycle (the recalibration PR):
+// Lifecycle:
 //   - PARTITIONS: the cache is hard-partitioned per resident corpus, each
 //     partition owning entries/partitions slots. One corpus's traffic can
 //     therefore never evict another corpus's entries — the quota is
 //     structural, not an accounting policy.
 //   - EPOCHS: every entry carries the bundle epoch its response was
 //     computed under. A lookup pinned to epoch E only hits entries stamped
-//     E (an older entry is lazily erased in passing); a refit calls
+//     E (an older entry is lazily emptied in passing); a refit calls
 //     invalidate_stale() to sweep exactly the refitted corpus's stale
 //     entries, leaving every other partition untouched.
 #pragma once
@@ -21,11 +22,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "serve/advisor.hpp"
@@ -56,32 +55,31 @@ class ResponseCache {
   // `entries` caps the TOTAL cached responses; 0 disables the cache
   // (lookup always misses, insert is a no-op). `partitions` splits that
   // total evenly — each partition holds max(1, entries/partitions) entries
-  // (the per-corpus quota). `ways` is the per-partition lock-sharding
-  // factor; each way holds an independent LRU of ceil(quota/ways) entries,
-  // so a partition's effective quota can exceed its share by at most
-  // ways-1.
-  explicit ResponseCache(std::size_t entries, int ways = 8, std::size_t partitions = 1);
+  // (the per-corpus quota). A partition is set-associative: ceil(quota/64)
+  // independently locked ways of ceil(quota/ways) slots each, so a way
+  // never holds more than 64 entries and the quota is rounded up by at
+  // most ways-1.
+  explicit ResponseCache(std::size_t entries, std::size_t partitions = 1);
 
-  bool enabled() const { return !partitions_.empty(); }
+  bool enabled() const { return partitions_ > 0; }
 
   // On hit — same partition, same epoch, same key — copies the stored
   // response into `out`, refreshes recency, and returns true. An entry
-  // stamped with an OLDER epoch is a miss and is erased in passing (it can
+  // stamped with an OLDER epoch is a miss and is emptied in passing (it can
   // never hit again); a NEWER entry is just a miss (the looker pinned an
   // old bundle mid-swap). Both outcomes count toward the hit-rate metrics.
   bool lookup(std::size_t partition, std::uint64_t epoch, const std::string& key,
               serve::AdvisorResponse& out);
 
-  // Inserts (or refreshes) `key` under `epoch` in `partition`, evicting the
-  // way's least-recently-used entry when the quota is full. Allocation-free
-  // at steady state: list nodes, index nodes, and key storage are
-  // pre-allocated per way at construction, a cold fill consumes them, and
-  // a full way recycles its LRU victim's node in place — key bytes are
-  // copied into recycled buffers, never freshly heap-allocated.
+  // Inserts (or refreshes) `key` under `epoch` in `partition`: the slot
+  // already holding the key, else an empty slot, else the way's
+  // least-recently-used slot. Allocation-free at steady state: every slot
+  // and its key buffer exist from construction, and key bytes are copied
+  // into the slot's buffer.
   void insert(std::size_t partition, std::uint64_t epoch, const std::string& key,
               const serve::AdvisorResponse& response);
 
-  // Sweeps `partition`, erasing every entry older than `keep_epoch` and
+  // Sweeps `partition`, emptying every entry older than `keep_epoch` and
   // returning how many were evicted. A refit calls this with the new
   // bundle's epoch: exactly the refitted corpus's stale entries go, every
   // other partition keeps its working set.
@@ -89,54 +87,50 @@ class ResponseCache {
 
   long lookups() const { return lookups_.load(std::memory_order_relaxed); }
   long hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::size_t size() const;      // responses currently held, all partitions
-  std::size_t partitions() const { return partitions_.size(); }
-  std::size_t capacity() const;  // sum of every way's capacity
-  // One partition's quota (the sum of its ways' capacities).
-  std::size_t partition_capacity(std::size_t partition) const;
+  std::size_t size() const;  // responses currently held, all partitions
+  std::size_t partitions() const { return partitions_; }
+  std::size_t capacity() const { return partitions_ * partition_capacity(0); }
+  // One partition's quota (the sum of its ways' slots).
+  std::size_t partition_capacity(std::size_t partition) const {
+    return partition < partitions_ ? ways_per_partition_ * slots_per_way_ : 0;
+  }
 
  private:
   struct Entry {
-    std::string key;          // full key bytes, the collision-proof identity
-    std::uint64_t hash = 0;   // the key's 64-bit mixed hash (the index key)
+    std::string key;  // full key bytes, the collision-proof identity
     std::uint64_t epoch = 0;
     serve::AdvisorResponse response;
   };
-  // The index is keyed on the key's 64-bit hash (8-byte words mixed one at
-  // a time, splitmix64-finalized), NOT the key string: the hash is
-  // computed once per operation (it also picks the way), already mixed
-  // (the identity hasher is safe), and 8 bytes to hash-and-compare
-  // instead of ~50. A probe that lands on an entry verifies the full key
-  // bytes before trusting it, so a 64-bit collision degrades to a cache
-  // miss / entry replacement — never a wrong response (the determinism
-  // contract does not rest on hashes).
-  struct IdentityHash {
-    std::size_t operator()(std::uint64_t h) const noexcept {
-      return static_cast<std::size_t>(h);
+  // One way: exact LRU over a fixed slot array. Every touch stamps the
+  // slot with the way's next recency tick, so the lowest tick is the
+  // least recently used and tick 0 marks an empty slot. The key's 64-bit
+  // hash (8-byte words mixed one at a time, splitmix64-finalized) is
+  // computed once per operation — it also picks the way — and the hashes
+  // and ticks sit in their own arrays, so a probe or a victim search
+  // scans contiguous words. A hash match is trusted only after the full
+  // key bytes compare equal, so a 64-bit collision is a miss, never a
+  // wrong response (the determinism contract does not rest on hashes).
+  // Cache-line aligned, so neighbouring ways' locks never share a line.
+  struct alignas(64) Way {
+    std::mutex mutex;
+    std::uint64_t clock = 0;
+    std::vector<std::uint64_t> hashes;
+    std::vector<std::uint64_t> ticks;
+    std::vector<Entry> entries;
+    bool holds(std::size_t slot, std::uint64_t h, const std::string& key) const {
+      return hashes[slot] == h && ticks[slot] != 0 && entries[slot].key == key;
     }
   };
-  using Index = std::unordered_map<std::uint64_t, std::list<Entry>::iterator, IdentityHash>;
-  struct Way {
-    std::mutex mutex;
-    std::size_t capacity = 0;
-    // Front = most recently used. The map indexes into the list.
-    std::list<Entry> lru;
-    Index index;
-    // Pre-allocated storage a cold fill draws from instead of the heap:
-    // `spare` holds capacity list nodes (spliced into lru one per insert)
-    // and `node_pool` holds capacity detached index nodes (re-keyed and
-    // re-inserted). Both are built at construction and both are empty once
-    // the way is full — from then on inserts recycle the LRU victim.
-    std::list<Entry> spare;
-    std::vector<Index::node_type> node_pool;
-  };
-  struct Partition {
-    std::vector<std::unique_ptr<Way>> ways;
-  };
 
-  Way& way_for(std::size_t partition, std::uint64_t hash);
+  // The key's hash picks the way within its partition.
+  Way& way_for(std::size_t partition, std::uint64_t hash) const {
+    return ways_[partition * ways_per_partition_ + hash % ways_per_partition_];
+  }
 
-  std::vector<Partition> partitions_;  // empty when disabled
+  std::size_t partitions_ = 0;  // 0 when disabled
+  std::size_t ways_per_partition_ = 0;
+  std::size_t slots_per_way_ = 0;
+  std::unique_ptr<Way[]> ways_;  // partition-major
   std::atomic<long> lookups_{0};
   std::atomic<long> hits_{0};
 };

@@ -146,8 +146,7 @@ ServingCluster::ServingCluster(ClusterConfig config,
   corpus_queries_ = std::make_unique<std::atomic<long>[]>(corpora_.size());
   // The cache is hard-partitioned per configured corpus, so its shape
   // depends on the corpus count resolved above.
-  cache_ = std::make_unique<ResponseCache>(config_.cache_entries, /*ways=*/8,
-                                           corpora_.size());
+  cache_ = std::make_unique<ResponseCache>(config_.cache_entries, corpora_.size());
 
   const int n_shards = config_.shards > 0 ? config_.shards : 1;
   config_.shards = n_shards;
@@ -368,15 +367,8 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   const auto stamp = [&] { return virt ? now_us : tr->now_us(); };
   const auto event = [&](const char* name, const char* note, std::int64_t ts,
                          std::size_t slot) {
-    obs::TraceEvent e{};
-    e.name = name;
-    e.cat = "req";
-    e.phase = 'i';
-    e.note = note;
-    e.ts_us = ts;
+    obs::TraceEvent e = obs::request_event(name, 'i', ts, session->id(), slot, note);
     if (virt) e.tid = static_cast<std::uint32_t>(session->id() + 1);
-    e.stream = session->id();
-    e.seq = slot;
     return e;
   };
 
@@ -650,15 +642,7 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
   const bool tracing = tr && tr->enabled() && !tr->virtual_clock();
   const auto trace_instant = [&](const StreamItem& item, const char* name,
                                  const char* note) {
-    obs::TraceEvent e{};
-    e.name = name;
-    e.cat = "req";
-    e.phase = 'i';
-    e.note = note;
-    e.ts_us = tr->now_us();
-    e.stream = item.session->id();
-    e.seq = item.slot;
-    tr->record(e);
+    tr->record(obs::request_event(name, 'i', tr->now_us(), item.session->id(), item.slot, note));
   };
   const auto degrade_exhausted = [&](StreamItem& item) {
     char buf[96];
@@ -728,13 +712,7 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
         shards_[static_cast<std::size_t>(target)]->try_enqueue(std::move(item))) {
       failovers_.fetch_add(1, std::memory_order_relaxed);
       if (tracing) {
-        obs::TraceEvent e{};
-        e.name = "failover";
-        e.cat = "req";
-        e.phase = 'i';
-        e.ts_us = handoff_us;
-        e.stream = item_stream;
-        e.seq = item_seq;
+        obs::TraceEvent e = obs::request_event("failover", 'i', handoff_us, item_stream, item_seq);
         e.values = 1;
         e.v0 = target;
         tr->record(e);

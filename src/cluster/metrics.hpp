@@ -16,18 +16,6 @@
 
 namespace isr::cluster {
 
-// Nearest-rank percentile of `samples` (copied and sorted internally);
-// p in [0, 100]. Returns 0 for an empty sample set. For more than one
-// percentile over the same samples, prefer percentiles() — one sort.
-double percentile(std::vector<double> samples, double p);
-
-// All requested percentiles in one pass: sorts `samples` once (in place),
-// then answers each p by nearest rank. Results align with `ps`; an empty
-// sample set yields all zeros. Matches percentile()'s conventions
-// (p <= 0 -> min, p >= 100 -> max).
-std::vector<double> percentiles(std::vector<double>& samples,
-                                const std::vector<double>& ps);
-
 struct ClusterMetrics {
   int shards = 0;
   long queries = 0;                 // total requests answered (hits included)

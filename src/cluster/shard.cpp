@@ -65,15 +65,8 @@ void Shard::worker_loop() {
       return;
     }
     if (!failed.empty()) {
-      if (on_failed_) {
-        on_failed_(std::move(failed), index_);
-        failed.clear();  // restore a known state after the move
-      } else {
-        // No failover wiring (a bare shard in tests): answer in place so
-        // the delivery guarantee holds regardless.
-        for (StreamItem& item : failed) item.session->deliver(item.slot, evaluate(item));
-        failed.clear();
-      }
+      on_failed_(std::move(failed), index_);
+      failed.clear();  // restore a known state after the move
     }
     if (status == DrainStatus::kStop) return;
   }
@@ -315,32 +308,22 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
   // and a ring must never owe events for a request whose future has
   // already resolved. Eval spans slice the batch's one evaluation interval
   // in batch order; truncation keeps each inside [pop, eval_done].
-  const auto trace_req = [](const char* name, char phase, std::int64_t ts,
-                            const StreamItem& item) {
-    obs::TraceEvent e{};
-    e.name = name;
-    e.cat = "req";
-    e.phase = phase;
-    e.ts_us = ts;
-    e.stream = item.session->id();
-    e.seq = item.slot;
-    return e;
-  };
   if (tracing) {
     for (const std::vector<StreamItem>* items : {&batch, &failed}) {
       for (const StreamItem& item : *items) {
         obs::TraceEvent queue_span =
-            trace_req("queue", 'X', trace_->since_epoch_us(item.enqueued), item);
+            obs::request_event("queue", 'X', trace_->since_epoch_us(item.enqueued),
+                               item.session->id(), item.slot);
         queue_span.dur_us = static_cast<std::int64_t>(item_wait_us(item));
         trace_->record(queue_span);
       }
     }
     const std::int64_t eval_begin_us = trace_->since_epoch_us(pop_now);
     for (std::size_t i = 0; i < n; ++i) {
-      obs::TraceEvent eval_span = trace_req(
+      obs::TraceEvent eval_span = obs::request_event(
           "eval", 'X',
           eval_begin_us + static_cast<std::int64_t>(static_cast<double>(i) * per_item_us),
-          batch[i]);
+          batch[i].session->id(), batch[i].slot);
       eval_span.dur_us = static_cast<std::int64_t>(per_item_us);
       trace_->record(eval_span);
     }
@@ -367,7 +350,8 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
     while (j < n && batch[j].session.get() == session) ++j;
     if (tracing) {
       for (std::size_t k = i; k < j; ++k)
-        trace_->record(trace_req("deliver", 'i', trace_->now_us(), batch[k]));
+        trace_->record(obs::request_event("deliver", 'i', trace_->now_us(),
+                                          batch[k].session->id(), batch[k].slot));
     }
     if (j - i == 1) {
       session->deliver(batch[i].slot, std::move(response_scratch_[i]));

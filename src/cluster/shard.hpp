@@ -83,15 +83,15 @@ class Shard {
   int index() const { return index_; }
 
   // Starts the dedicated worker thread. `faults` (nullable) injects the
-  // deterministic chaos schedule; `on_failed` (nullable) receives items
+  // deterministic chaos schedule; `on_failed` (required) receives items
   // that failed transiently; `trace` (nullable) records lifecycle spans —
   // the worker emits queue/eval/deliver events only when the recorder is
   // live-clocked (under --replay the cluster emits the whole virtual chain
   // at admission instead). Call once.
   void start(ResponseCache* cache, core::FaultInjector* faults, FailureHandler on_failed,
              obs::TraceRecorder* trace = nullptr);
-  // Closes the queue (shutdown()) and joins the worker — including a
-  // crashed one the watchdog never got to.
+  // Closes the queue and joins the worker — including a crashed one the
+  // watchdog never got to.
   void stop();
 
   // Admission: blocking bounded push of one admitted run's sub-run for
@@ -111,8 +111,6 @@ class Shard {
   // queue could deadlock two shards against each other.
   bool try_enqueue(StreamItem&& item) { return queue_.try_push(std::move(item)); }
   void kick() { queue_.kick(); }
-  // No more admissions, ever: the worker drains what remains and stops.
-  void shutdown() { queue_.close(); }
 
   // The pure per-item evaluation (serve::answer_batch on a one-item batch
   // against the item's pinned bundle and constants), exceptions converted

@@ -58,9 +58,7 @@ double LatencyHistogram::percentile_us(double p) const {
   if (count_ == 0) return 0.0;
   if (p <= 0.0) return min_us_;
   if (p >= 100.0) return max_us_;
-  // Nearest rank (1-based), matching cluster::percentile's convention so a
-  // histogram estimate and an exact-sample computation answer the same
-  // question.
+  // Nearest rank (1-based): ceil(p/100 * count), clamped to [1, count].
   std::uint64_t rank = static_cast<std::uint64_t>(
       std::ceil(p / 100.0 * static_cast<double>(count_)));
   if (rank == 0) rank = 1;

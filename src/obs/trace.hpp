@@ -61,6 +61,23 @@ struct TraceEvent {
   std::int64_t v1 = 0;
 };
 
+// A request-lifecycle event (category "req") for request `seq` of stream
+// `stream`: phase 'i' is an instant, 'X' a span whose dur_us the caller
+// sets. Every lifecycle site builds its events here, so they agree.
+inline TraceEvent request_event(const char* name, char phase, std::int64_t ts_us,
+                                std::uint64_t stream, std::uint64_t seq,
+                                const char* note = nullptr) {
+  TraceEvent e{};
+  e.name = name;
+  e.cat = "req";
+  e.note = note;
+  e.phase = phase;
+  e.ts_us = ts_us;
+  e.stream = stream;
+  e.seq = seq;
+  return e;
+}
+
 class TraceRecorder {
  public:
   // `ring_capacity` bounds EACH recording thread's buffer (drop-oldest

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <list>
 #include <memory>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -18,6 +21,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/metrics.hpp"
 #include "cluster/router.hpp"
+#include "core/env.hpp"
 #include "serve/jsonl.hpp"
 #include "serve/registry.hpp"
 
@@ -273,7 +277,7 @@ TEST(CanonicalKeyTest, BinaryKeyKeepsTrickyRequestsDistinct) {
       EXPECT_NE(keys[a], keys[b]) << "keys " << a << " and " << b;
 
   // The cache keeps every one of them apart.
-  ResponseCache cache(64, /*ways=*/4);
+  ResponseCache cache(64);
   for (std::size_t k = 0; k < keys.size(); ++k)
     cache.insert(0, 1, keys[k], ok_response(static_cast<double>(k)));
   for (std::size_t k = 0; k < keys.size(); ++k) {
@@ -286,7 +290,7 @@ TEST(CanonicalKeyTest, BinaryKeyKeepsTrickyRequestsDistinct) {
 // --- Response cache ---------------------------------------------------------
 
 TEST(ResponseCacheTest, EvictsLeastRecentlyUsedInOrder) {
-  ResponseCache cache(2, /*ways=*/1);  // one way: exact global LRU order
+  ResponseCache cache(2);  // one way: exact global LRU order
   cache.insert(0, 1, "a", ok_response(1.0));
   cache.insert(0, 1, "b", ok_response(2.0));
   AdvisorResponse out;
@@ -329,7 +333,7 @@ TEST(ResponseCacheTest, PartitionQuotasAreStructural) {
   // flooding partition 0 with far more keys than the whole cache holds
   // cannot evict a single partition-1 entry — the quota is hard, not an
   // accounting policy (the cross-corpus eviction regression).
-  ResponseCache cache(8, /*ways=*/1, /*partitions=*/2);
+  ResponseCache cache(8, /*partitions=*/2);
   EXPECT_EQ(cache.partitions(), 2u);
   EXPECT_EQ(cache.partition_capacity(0), 4u);
   EXPECT_EQ(cache.partition_capacity(1), 4u);
@@ -350,7 +354,7 @@ TEST(ResponseCacheTest, PartitionQuotasAreStructural) {
 TEST(ResponseCacheTest, EveryPartitionHoldsAtLeastOneEntry) {
   // Fewer entries than partitions: each partition still gets one slot, so
   // a resident corpus is never structurally uncacheable.
-  ResponseCache cache(2, /*ways=*/8, /*partitions=*/4);
+  ResponseCache cache(2, /*partitions=*/4);
   for (std::size_t p = 0; p < 4; ++p) {
     EXPECT_GE(cache.partition_capacity(p), 1u) << "partition " << p;
     cache.insert(p, 1, "k", ok_response(1.0));
@@ -360,7 +364,7 @@ TEST(ResponseCacheTest, EveryPartitionHoldsAtLeastOneEntry) {
 }
 
 TEST(ResponseCacheTest, EpochScopesHitsAndInvalidation) {
-  ResponseCache cache(16, /*ways=*/1, /*partitions=*/2);
+  ResponseCache cache(16, /*partitions=*/2);
   cache.insert(0, 1, "a", ok_response(1.0));
   cache.insert(0, 2, "b", ok_response(2.0));
   cache.insert(1, 1, "c", ok_response(3.0));
@@ -379,6 +383,166 @@ TEST(ResponseCacheTest, EpochScopesHitsAndInvalidation) {
   EXPECT_EQ(cache.invalidate_stale(0, 3), 2u);  // b and d (epoch 2 < 3)
   EXPECT_EQ(cache.invalidate_stale(0, 3), 0u);  // idempotent
   EXPECT_TRUE(cache.lookup(1, 1, "c", out));    // partition 1 untouched
+}
+
+// The reference the one-way cache is checked against: exact LRU over a
+// std::list (front = most recent) with the cache's epoch rules.
+struct ReferenceLru {
+  struct Entry {
+    std::string key;
+    std::uint64_t epoch;
+    double payload;
+  };
+  std::size_t capacity;
+  std::list<Entry> lru;
+  long evictions = 0;
+
+  std::list<Entry>::iterator find(const std::string& key) {
+    return std::find_if(lru.begin(), lru.end(), [&](const Entry& e) { return e.key == key; });
+  }
+  bool lookup(std::uint64_t epoch, const std::string& key, double& payload) {
+    const auto it = find(key);
+    if (it == lru.end()) return false;
+    if (it->epoch != epoch) {
+      if (it->epoch < epoch) lru.erase(it);
+      return false;
+    }
+    lru.splice(lru.begin(), lru, it);
+    payload = it->payload;
+    return true;
+  }
+  void insert(std::uint64_t epoch, const std::string& key, double payload) {
+    const auto it = find(key);
+    if (it != lru.end()) {
+      lru.erase(it);
+    } else if (lru.size() == capacity) {
+      lru.pop_back();
+      ++evictions;
+    }
+    lru.push_front({key, epoch, payload});
+  }
+  std::size_t invalidate_stale(std::uint64_t keep_epoch) {
+    const std::size_t before = lru.size();
+    lru.remove_if([&](const Entry& e) { return e.epoch < keep_epoch; });
+    return before - lru.size();
+  }
+};
+
+TEST(ResponseCacheTest, OneWayMatchesAReferenceLru) {
+  // Seeded random inserts, lookups at an older, equal or newer epoch, and
+  // epoch sweeps: a cache of at most 64 entries is one way, so its hits,
+  // payloads, sizes and evictions must be exactly the reference LRU's.
+  const long rounds = core::env_long("ISR_STRESS_ITERS", 3);
+  for (long round = 0; round < rounds; ++round) {
+    for (const std::size_t capacity : {1u, 2u, 7u, 64u}) {
+      const std::uint64_t seed = static_cast<std::uint64_t>(round) * 1000 + capacity;
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      std::mt19937_64 rng(seed);
+      ResponseCache cache(capacity);
+      ASSERT_EQ(cache.capacity(), capacity);
+      ReferenceLru ref{capacity, {}, 0};
+      long evictions = 0;
+      long hits = 0;
+      std::uint64_t epoch = 2;
+      double next_payload = 0.0;
+      const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+      for (int op = 0; op < 4000; ++op) {
+        const std::string key = "k" + std::to_string(pick(3 * capacity / 2 + 2));
+        const std::uint64_t at = epoch - 1 + pick(3);  // older, equal or newer
+        const std::uint64_t kind = pick(1000);
+        if (kind < 550) {
+          const bool present = ref.find(key) != ref.lru.end();
+          const std::size_t before = cache.size();
+          cache.insert(0, at, key, ok_response(next_payload));
+          ref.insert(at, key, next_payload);
+          next_payload += 1.0;
+          evictions += static_cast<long>(before + (present ? 0 : 1) - cache.size());
+        } else if (kind < 995) {
+          AdvisorResponse out;
+          double want = -1.0;
+          const bool hit = cache.lookup(0, at, key, out);
+          ASSERT_EQ(hit, ref.lookup(at, key, want)) << "op " << op;
+          if (hit) {
+            ASSERT_EQ(out.frame_seconds, want) << "op " << op;
+            ++hits;
+          }
+        } else {
+          ++epoch;
+          ASSERT_EQ(cache.invalidate_stale(0, epoch), ref.invalidate_stale(epoch)) << "op " << op;
+        }
+        ASSERT_EQ(cache.size(), ref.lru.size()) << "op " << op;
+        ASSERT_EQ(evictions, ref.evictions) << "op " << op;
+      }
+      EXPECT_GT(hits, 0);
+      EXPECT_GT(evictions, 0);
+    }
+  }
+}
+
+TEST(ResponseCacheTest, ConcurrentHitsCarryTheirInsertedPayload) {
+  // Threads race lookups, inserts and sweeps over two partitions of two
+  // ways each. A payload is a pure function of (partition, key, epoch), so
+  // a hit carrying anything else is a torn or misfiled entry.
+  const long rounds = core::env_long("ISR_STRESS_ITERS", 3);
+  ResponseCache cache(256, /*partitions=*/2);
+  const auto payload = [](std::size_t p, std::uint64_t k, std::uint64_t e) {
+    return static_cast<double>(p * 1000000 + k * 10 + e);
+  };
+  std::atomic<long> hits{0};
+  std::atomic<long> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(static_cast<std::uint64_t>(t) + 1);
+      AdvisorResponse out;
+      for (long i = 0; i < rounds * 20000; ++i) {
+        const std::size_t p = rng() % 2;
+        const std::uint64_t k = rng() % 300;
+        const std::uint64_t e = 1 + rng() % 3;
+        const std::string key = "key-" + std::to_string(k);
+        const std::uint64_t kind = rng() % 100;
+        if (kind < 50) {
+          if (cache.lookup(p, e, key, out)) {
+            hits.fetch_add(1, std::memory_order_relaxed);
+            if (out.frame_seconds != payload(p, k, e) || !out.ok())
+              wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        } else if (kind < 99) {
+          cache.insert(p, e, key, ok_response(payload(p, k, e)));
+        } else {
+          cache.invalidate_stale(p, e);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(hits.load(), 0);
+  EXPECT_LE(cache.size(), cache.capacity());
+}
+
+TEST(ResponseCacheTest, LargeCacheHoldsAndHitsHalfItsEntries) {
+  // 4096 entries is 64 ways of 64 slots; 2048 distinct request keys spread
+  // over them without overfilling any way.
+  ResponseCache cache(4096);
+  EXPECT_EQ(cache.capacity(), 4096u);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 2048; ++i) {
+    AdvisorRequest r;
+    r.budget_seconds = 1.0 + i;
+    r.image_edge = 256 + i % 7;
+    keys.push_back(canonical_request_key(r));
+    cache.insert(0, 1, keys.back(), ok_response(static_cast<double>(i)));
+  }
+  EXPECT_EQ(cache.size(), 2048u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    AdvisorResponse out;
+    ASSERT_TRUE(cache.lookup(0, 1, keys[i], out)) << "key " << i;
+    EXPECT_EQ(out.frame_seconds, static_cast<double>(i));
+  }
+  // Quotas that are not a multiple of 64 round up by less than one slot
+  // per way: 130 entries are 3 ways of 44.
+  EXPECT_EQ(ResponseCache(130).capacity(), 132u);
 }
 
 // --- Cluster determinism contract -------------------------------------------
@@ -821,40 +985,6 @@ TEST(MultiCorpusTest, HotKeyRebalancingLevelsASkewedStreamWithoutChangingBytes) 
     EXPECT_TRUE(pinned[i].ok()) << "slot " << i << ": " << pinned[i].error;
     EXPECT_EQ(serve::to_jsonl(pinned[i]), serve::to_jsonl(balanced[i])) << "slot " << i;
   }
-}
-
-// --- Percentiles ------------------------------------------------------------
-
-TEST(PercentileTest, NearestRank) {
-  const std::vector<double> samples = {5.0, 1.0, 4.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(percentile(samples, 50.0), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(samples, 99.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(samples, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(samples, 100.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile({}, 50.0), 0.0);
-  // A single sample answers every percentile.
-  const std::vector<double> one = {7.0};
-  EXPECT_DOUBLE_EQ(percentile(one, 0.0), 7.0);
-  EXPECT_DOUBLE_EQ(percentile(one, 50.0), 7.0);
-  EXPECT_DOUBLE_EQ(percentile(one, 100.0), 7.0);
-}
-
-TEST(PercentileTest, MultiPercentileMatchesRepeatedSingleCalls) {
-  // percentiles() sorts once and answers many; it must agree with the
-  // one-at-a-time API on every rank, keep results aligned with the ps
-  // order (unsorted ps included), and zero-fill on empty input.
-  std::vector<double> samples = {5.0, 1.0, 4.0, 2.0, 3.0, 9.0, 0.5};
-  const std::vector<double> reference = samples;  // percentile() copies; keep one
-  const std::vector<double> ps = {99.0, 0.0, 50.0, 100.0, 90.0, 10.0};
-  const std::vector<double> got = percentiles(samples, ps);
-  ASSERT_EQ(got.size(), ps.size());
-  for (std::size_t i = 0; i < ps.size(); ++i)
-    EXPECT_DOUBLE_EQ(got[i], percentile(reference, ps[i])) << "p" << ps[i];
-
-  std::vector<double> empty;
-  const std::vector<double> zeros = percentiles(empty, ps);
-  ASSERT_EQ(zeros.size(), ps.size());
-  for (const double z : zeros) EXPECT_DOUBLE_EQ(z, 0.0);
 }
 
 }  // namespace
