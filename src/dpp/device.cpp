@@ -74,13 +74,38 @@ double Device::model_kernel_seconds(std::size_t n, const KernelCost& cost) {
 }
 
 void Device::record_kernel(std::size_t n, const KernelCost& cost, double wall_seconds) {
-  const double seconds =
-      profile_.simulated ? model_kernel_seconds(n, cost) : wall_seconds;
-  PhaseRecord& rec = log_.phases[current_phase()];
+  const std::string& phase = current_phase();
+  if (tape_) tape_->kernels.push_back({phase, n, cost});
+  account(phase, n, cost, profile_.simulated ? model_kernel_seconds(n, cost) : wall_seconds);
+}
+
+void Device::account(const std::string& phase, std::size_t n, const KernelCost& cost,
+                     double seconds) {
+  PhaseRecord& rec = log_.phases[phase];
   rec.seconds += seconds;
   rec.est_ops += static_cast<double>(n) * cost.flops_per_elem;
   rec.est_bytes += static_cast<double>(n) * cost.bytes_per_elem;
   rec.kernels += 1;
+}
+
+std::vector<TimingLog> Device::replay(const KernelTape& tape, DeviceProfile profile,
+                                      std::uint64_t jitter_seed) {
+  Device dev = Device::simulated(std::move(profile), jitter_seed);
+  std::vector<TimingLog> segments;
+  std::size_t k = 0;
+  // Pass m prices the kernels up to mark m (the last pass: to the end) and
+  // closes the segment mark m - 1 opened.
+  for (std::size_t m = 0; m <= tape.marks.size(); ++m) {
+    const std::size_t end = m < tape.marks.size() ? tape.marks[m] : tape.kernels.size();
+    for (; k < end; ++k) {
+      const KernelTape::Kernel& kernel = tape.kernels[k];
+      dev.account(kernel.phase, kernel.n, kernel.cost,
+                  dev.model_kernel_seconds(kernel.n, kernel.cost));
+    }
+    if (m > 0) segments.push_back(std::move(dev.log_));
+    dev.log_ = TimingLog{};
+  }
+  return segments;
 }
 
 }  // namespace isr::dpp

@@ -15,6 +15,10 @@
 // Devices also keep the per-phase timing log the performance-model study
 // consumes — the "data gathering infrastructure" of the dissertation's
 // Chapter VI.
+//
+// Simulated devices differ only in how they price a kernel, so a render can
+// be taped once (KernelTape) and priced on any other profile by replaying
+// the tape (Device::replay) instead of rendering again.
 #pragma once
 
 #include <cstddef>
@@ -76,6 +80,21 @@ struct TimingLog {
   }
 };
 
+// The kernels a Device recorded while the tape was attached, in order, and
+// a segment mark per reset_timings(). Segment i holds the kernels from mark
+// i up to the next mark (or the end): exactly what the live device's
+// timings() held when a renderer read it, e.g. a RayTracer's BVH build is
+// the first segment and its render the last.
+struct KernelTape {
+  struct Kernel {
+    std::string phase;
+    std::size_t n = 0;
+    KernelCost cost;
+  };
+  std::vector<Kernel> kernels;
+  std::vector<std::size_t> marks;  // kernels.size() at each reset_timings()
+};
+
 class Device {
  public:
   explicit Device(DeviceProfile profile, std::uint64_t jitter_seed = 0x5EEDu);
@@ -87,6 +106,14 @@ class Device {
   // A simulated device from a profile (see profiles.hpp).
   static Device simulated(DeviceProfile profile, std::uint64_t jitter_seed = 0x5EEDu);
 
+  // Prices a tape on a fresh simulated(profile, jitter_seed) and returns one
+  // TimingLog per segment. Jitter is drawn in tape order, so the logs equal,
+  // bit for bit, the ones a live render on that device would have reported.
+  // Kernels before the first mark are priced but belong to no segment, as
+  // the live device's first reset_timings() discards them.
+  static std::vector<TimingLog> replay(const KernelTape& tape, DeviceProfile profile,
+                                       std::uint64_t jitter_seed);
+
   const DeviceProfile& profile() const { return profile_; }
   bool is_simulated() const { return profile_.simulated; }
   int thread_count() const;
@@ -97,7 +124,14 @@ class Device {
   const std::string& current_phase() const;
   TimingLog& timings() { return log_; }
   const TimingLog& timings() const { return log_; }
-  void reset_timings() { log_ = TimingLog{}; }
+  void reset_timings() {
+    log_ = TimingLog{};
+    if (tape_) tape_->marks.push_back(tape_->kernels.size());
+  }
+
+  // While a tape is attached, every record_kernel() and reset_timings() is
+  // appended to it (nullptr detaches). The tape is not owned.
+  void attach_tape(KernelTape* tape) { tape_ = tape; }
 
   // Called by every primitive after executing a kernel over n elements.
   // wall_seconds is the measured host time; simulated devices replace it
@@ -109,10 +143,14 @@ class Device {
   double model_kernel_seconds(std::size_t n, const KernelCost& cost);
 
  private:
+  void account(const std::string& phase, std::size_t n, const KernelCost& cost,
+               double seconds);
+
   DeviceProfile profile_;
   TimingLog log_;
   std::vector<std::string> phase_stack_;
   Rng jitter_;
+  KernelTape* tape_ = nullptr;
 };
 
 // RAII phase scope: `ScopedPhase p(dev, "sampling");`

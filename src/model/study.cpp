@@ -98,8 +98,8 @@ std::vector<RankData> generate_rank_data(const std::string& sim, int tasks, int 
   return ranks;
 }
 
-// One point of the (sim, tasks, sample) grid: generates rank data once and
-// renders every arch x renderer combination on it.
+// One point of the (sim, tasks, sample) grid: generates rank data once,
+// renders it once per renderer and prices every render on every arch.
 struct Job {
   std::size_t sim = 0;  // index into config.sims
   int tasks = 1;
@@ -107,15 +107,10 @@ struct Job {
   int image = 0;            // stratified-jittered image edge
   int n = 0;                // stratified-jittered per-task N
   std::uint64_t hash = 0;   // hash_seed(seed, sim, tasks, sample)
-  std::size_t first_combo = 0;
-  std::size_t combo_count = 0;
-};
-
-// One observation slot: an (arch, renderer) pair within a Job. A combo's
-// index in the flat vector IS its observation slot (grid order).
-struct Combo {
-  std::size_t arch = 0;  // index into config.archs
-  std::size_t kind = 0;  // index into config.renderers
+  // Observation slots [first_slot, first_slot + archs x kinds), arch-major
+  // (grid order); kinds counts the renderers valid for the sim.
+  std::size_t first_slot = 0;
+  std::size_t kinds = 0;
 };
 
 }  // namespace
@@ -166,7 +161,7 @@ std::vector<Observation> run_study(const StudyConfig& config, bool verbose) {
   // of the config — bit-identical at any thread count and in any
   // execution order.
   std::vector<Job> jobs;
-  std::vector<Combo> combos;
+  std::size_t slots = 0;
   jobs.reserve(config.sims.size() * config.tasks.size() *
                static_cast<std::size_t>(config.samples_per_config));
   for (std::size_t si = 0; si < config.sims.size(); ++si) {
@@ -195,22 +190,21 @@ std::vector<Observation> run_study(const StudyConfig& config, bool verbose) {
             static_cast<int>(stratum * static_cast<double>(config.max_image - config.min_image));
         job.n = config.min_n +
                 static_cast<int>(stratum_n * static_cast<double>(config.max_n - config.min_n));
-        job.first_combo = combos.size();
-        for (std::size_t ai = 0; ai < config.archs.size(); ++ai)
-          for (std::size_t ki = 0; ki < config.renderers.size(); ++ki) {
-            if (config.renderers[ki] == RendererKind::kVolume && !has_grid) continue;
-            combos.push_back(Combo{ai, ki});
-          }
-        job.combo_count = combos.size() - job.first_combo;
+        job.first_slot = slots;
+        for (const RendererKind kind : config.renderers)
+          if (kind != RendererKind::kVolume || has_grid) ++job.kinds;
+        slots += config.archs.size() * job.kinds;
         jobs.push_back(job);
       }
     }
   }
 
+  if (slots == 0) return {};  // no arch, or no renderer valid for any sim
+
   // Pre-sized slots: jobs write disjoint ranges, so the hot path takes no
   // locks; slot order is the serial harness's grid order.
-  std::vector<Observation> observations(combos.size());
-  std::vector<std::string> lines(verbose ? combos.size() : 0);
+  std::vector<Observation> observations(slots);
+  std::vector<std::string> lines(verbose ? slots : 0);
 
   core::ThreadPool pool(config.threads);
 
@@ -225,22 +219,30 @@ std::vector<Observation> run_study(const StudyConfig& config, bool verbose) {
     const ColorTable colors = ColorTable::cool_warm();
     const TransferFunction tf(colors, 0.05f, 0.3f);
 
-    for (std::size_t c = job.first_combo; c < job.first_combo + job.combo_count; ++c) {
-      const Combo& combo = combos[c];
-      const std::string& arch = config.archs[combo.arch];
-      const RendererKind kind = config.renderers[combo.kind];
+    const std::size_t tasks = static_cast<std::size_t>(job.tasks);
+    const std::size_t archs = config.archs.size();
+    std::size_t k = 0;  // position among the job's valid renderers
+    for (const RendererKind kind : config.renderers) {
+      if (kind == RendererKind::kVolume && !sim_has_grid(sim)) continue;
 
-      std::vector<comm::RankImage> images(static_cast<std::size_t>(job.tasks));
-      std::vector<RenderSample> rank_samples(static_cast<std::size_t>(job.tasks));
+      std::vector<comm::RankImage> images(tasks);
+      // Arch-major: rank_samples[a * tasks + r] is rank r priced on arch a.
+      std::vector<RenderSample> rank_samples(archs * tasks);
 
       const auto render_rank = [&](std::size_t r) {
         const RankData& rd = ranks[r];
-        // Each rank gets its own simulated Device whose jitter seed is a
-        // function of the grid coordinate and rank — never of how many
-        // renders ran before it.
-        dpp::Device dev = dpp::Device::simulated(
-            dpp::profile_by_name(arch),
-            hash_seed(job.hash, arch, static_cast<std::uint64_t>(kind), r));
+        // Each rank renders once, live on the first arch, with a kernel
+        // tape that every other arch replays. A Device's jitter seed is a
+        // function of the grid coordinate, arch and rank — never of how
+        // many renders ran before it — and a replay draws it in the live
+        // kernel order, so every arch's times equal a live render's.
+        const auto seed = [&](const std::string& arch) {
+          return hash_seed(job.hash, arch, static_cast<std::uint64_t>(kind), r);
+        };
+        dpp::Device dev =
+            dpp::Device::simulated(dpp::profile_by_name(config.archs[0]), seed(config.archs[0]));
+        dpp::KernelTape tape;  // private to this rank's pool task
+        if (archs > 1) dev.attach_tape(&tape);
         render::Image& img = images[r].image;
         images[r].view_depth = length(rd.bounds.center() - camera.position);
         render::RenderStats stats;
@@ -266,18 +268,27 @@ std::vector<Observation> run_study(const StudyConfig& config, bool verbose) {
                          stats.samples_per_ray, stats.cells_spanned};
         sample.build_seconds = build_seconds;
         sample.render_seconds = stats.total_seconds();
+
+        // A RayTracer's BVH build is its tape's first segment and its
+        // render the last.
+        for (std::size_t a = 1; a < archs; ++a) {
+          const std::string& arch = config.archs[a];
+          const std::vector<dpp::TimingLog> segments =
+              dpp::Device::replay(tape, dpp::profile_by_name(arch), seed(arch));
+          RenderSample& priced = rank_samples[a * tasks + r];
+          priced.inputs = sample.inputs;
+          if (kind == RendererKind::kRayTrace)
+            priced.build_seconds = segments.front().total_seconds();
+          priced.render_seconds = segments.back().total_seconds();
+        }
       };
       if (job.tasks >= kRankFanout && pool.size() > 1)
-        core::parallel_for(pool, static_cast<std::size_t>(job.tasks), render_rank);
+        core::parallel_for(pool, tasks, render_rank);
       else
-        for (int r = 0; r < job.tasks; ++r) render_rank(static_cast<std::size_t>(r));
+        for (std::size_t r = 0; r < tasks; ++r) render_rank(r);
 
-      // Slowest-rank reduction in rank order (ties keep the later rank,
-      // matching the serial harness).
-      RenderSample slowest;
-      for (const RenderSample& sample : rank_samples)
-        if (sample.total_seconds() >= slowest.total_seconds()) slowest = sample;
-
+      // The images are the same on every arch, and compositing is priced
+      // by the virtual MPI layer, not by a Device: composite once.
       comm::Comm comm(job.tasks);
       const comm::CompositeMode mode = kind == RendererKind::kVolume
                                            ? comm::CompositeMode::kVolume
@@ -288,33 +299,46 @@ std::vector<Observation> run_study(const StudyConfig& config, bool verbose) {
       const comm::CompositeResult comp = comm::composite(
           comm, images, mode, comm::CompositeAlgorithm::kRadixK, /*radix=*/8, &pool);
 
-      Observation& obs = observations[c];
-      obs.arch = arch;
-      obs.renderer = kind;
-      obs.sim = sim;
-      obs.tasks = job.tasks;
-      obs.image_size = job.image;
-      obs.n_per_task = job.n;
-      obs.sample = slowest;
-      obs.avg_active_pixels = comp.avg_active_pixels;
-      obs.composite_seconds = comp.simulated_seconds;
-      obs.total_seconds = slowest.total_seconds() + comp.simulated_seconds;
+      for (std::size_t a = 0; a < archs; ++a) {
+        const std::string& arch = config.archs[a];
+        // Slowest-rank reduction in rank order (ties keep the later rank,
+        // matching the serial harness).
+        RenderSample slowest;
+        for (std::size_t r = 0; r < tasks; ++r) {
+          const RenderSample& sample = rank_samples[a * tasks + r];
+          if (sample.total_seconds() >= slowest.total_seconds()) slowest = sample;
+        }
 
-      if (verbose) {
-        const char* fmt =
-            "study %-10s %-13s %-5s tasks=%-3d img=%-4d n=%-3d local=%.4fs comp=%.4fs\n";
-        // Two-pass snprintf: sims/archs are arbitrary strings, so the line
-        // length is unbounded and a fixed buffer could truncate.
-        const int len =
-            std::snprintf(nullptr, 0, fmt, sim.c_str(), renderer_name(kind), arch.c_str(),
-                          job.tasks, job.image, job.n, slowest.total_seconds(),
-                          comp.simulated_seconds);
-        std::string line(static_cast<std::size_t>(len > 0 ? len : 0), '\0');
-        std::snprintf(&line[0], line.size() + 1, fmt, sim.c_str(), renderer_name(kind),
-                      arch.c_str(), job.tasks, job.image, job.n, slowest.total_seconds(),
-                      comp.simulated_seconds);
-        lines[c] = std::move(line);
+        const std::size_t slot = job.first_slot + a * job.kinds + k;
+        Observation& obs = observations[slot];
+        obs.arch = arch;
+        obs.renderer = kind;
+        obs.sim = sim;
+        obs.tasks = job.tasks;
+        obs.image_size = job.image;
+        obs.n_per_task = job.n;
+        obs.sample = slowest;
+        obs.avg_active_pixels = comp.avg_active_pixels;
+        obs.composite_seconds = comp.simulated_seconds;
+        obs.total_seconds = slowest.total_seconds() + comp.simulated_seconds;
+
+        if (verbose) {
+          const char* fmt =
+              "study %-10s %-13s %-5s tasks=%-3d img=%-4d n=%-3d local=%.4fs comp=%.4fs\n";
+          // Two-pass snprintf: sims/archs are arbitrary strings, so the line
+          // length is unbounded and a fixed buffer could truncate.
+          const int len =
+              std::snprintf(nullptr, 0, fmt, sim.c_str(), renderer_name(kind), arch.c_str(),
+                            job.tasks, job.image, job.n, slowest.total_seconds(),
+                            comp.simulated_seconds);
+          std::string line(static_cast<std::size_t>(len > 0 ? len : 0), '\0');
+          std::snprintf(&line[0], line.size() + 1, fmt, sim.c_str(), renderer_name(kind),
+                        arch.c_str(), job.tasks, job.image, job.n, slowest.total_seconds(),
+                        comp.simulated_seconds);
+          lines[slot] = std::move(line);
+        }
       }
+      ++k;
     }
   };
 

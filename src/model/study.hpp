@@ -55,8 +55,10 @@ struct Observation {
   double total_seconds = 0;     // max local + composite (Eq. 5.4 measured)
 };
 
-// Runs the study across config.threads pool workers (src/core/). With
-// verbose=true, per-observation lines are buffered and printed in
+// Runs the study across config.threads pool workers (src/core/). Each job
+// renders once per renderer, on the first arch; every other arch prices
+// the same kernels by replaying the ranks' kernel tapes (dpp/device.hpp),
+// with the same result as rendering live on it. With verbose=true, per-observation lines are buffered and printed in
 // deterministic grid order (sims x tasks x samples x archs x renderers)
 // regardless of execution order.
 std::vector<Observation> run_study(const StudyConfig& config, bool verbose = false);

@@ -23,14 +23,17 @@ thread_local ThreadCache t_cache;
 }  // namespace
 
 struct TraceRecorder::Ring {
-  explicit Ring(std::size_t capacity, std::uint32_t lane_in, std::thread::id owner_in)
-      : slots(capacity), lane(lane_in), owner(owner_in) {}
+  explicit Ring(std::size_t capacity_in, std::uint32_t lane_in, std::thread::id owner_in)
+      : capacity(capacity_in), lane(lane_in), owner(owner_in) {}
   // Single-writer ring: only the owning thread appends, so this lock is
   // uncontended on the hot path — it exists to serialize against the
   // exporter's drain (and clear()), not against other producers.
   std::mutex mutex;
+  // Grows on demand up to capacity, then wraps: a thread that records a
+  // handful of events never pays for (or zero-fills) a full ring.
   std::vector<TraceEvent> slots;
-  std::size_t head = 0;  // next write position
+  std::size_t capacity;
+  std::size_t head = 0;  // next write position (<= slots.size())
   std::size_t size = 0;  // valid events (<= capacity)
   std::uint64_t dropped = 0;
   std::uint32_t lane;
@@ -87,9 +90,10 @@ void TraceRecorder::record(const TraceEvent& event) {
   if (!enabled_.load(std::memory_order_relaxed)) return;
   Ring* ring = ring_for_this_thread();
   std::lock_guard<std::mutex> lock(ring->mutex);
-  ring->slots[ring->head] = event;
-  ring->head = (ring->head + 1) % ring->slots.size();
-  if (ring->size < ring->slots.size()) ring->size += 1;
+  if (ring->head == ring->slots.size()) ring->slots.push_back(event);
+  else ring->slots[ring->head] = event;
+  ring->head = (ring->head + 1) % ring->capacity;
+  if (ring->size < ring->capacity) ring->size += 1;
   else ring->dropped += 1;  // head just overwrote the oldest event
 }
 
@@ -193,7 +197,7 @@ std::string TraceRecorder::chrome_trace_json() const {
     for (const auto& ring : rings_) {
       std::lock_guard<std::mutex> lock(ring->mutex);
       total_dropped += ring->dropped;
-      const std::size_t cap = ring->slots.size();
+      const std::size_t cap = ring->capacity;
       const std::size_t start = (ring->head + cap - ring->size) % cap;
       for (std::size_t i = 0; i < ring->size; ++i) {
         TraceEvent e = ring->slots[(start + i) % cap];

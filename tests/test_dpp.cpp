@@ -252,6 +252,36 @@ TEST(Device, IpcEstimateIsFinite) {
   EXPECT_LT(ipc, 1000.0);
 }
 
+TEST(Device, TapeSegmentsFollowResets) {
+  Device dev = Device::simulated(profile_cpu1(), 5);
+  KernelTape tape;
+  dev.attach_tape(&tape);
+  dev.record_kernel(7, {}, 0.0);  // before the first mark: in no segment
+  dev.reset_timings();
+  {
+    ScopedPhase p(dev, "a");
+    dev.record_kernel(100, {}, 0.0);
+  }
+  dev.reset_timings();
+  dev.reset_timings();  // an empty segment
+  dev.record_kernel(1000, {}, 0.0);
+  const TimingLog last = dev.timings();
+  dev.attach_tape(nullptr);
+  dev.record_kernel(1, {}, 0.0);  // detached: not taped
+
+  ASSERT_EQ(tape.kernels.size(), 3u);
+  EXPECT_EQ(tape.kernels[1].phase, "a");
+  EXPECT_EQ(tape.marks, (std::vector<std::size_t>{1, 2, 2}));
+  const std::vector<TimingLog> segments = Device::replay(tape, profile_cpu1(), 5);
+  ASSERT_EQ(segments.size(), 3u);
+  EXPECT_EQ(segments[0].phases.at("a").kernels, 1u);
+  EXPECT_TRUE(segments[1].phases.empty());
+  // The first kernel still drew its jitter, so the replay matches the live
+  // log bit for bit.
+  EXPECT_EQ(segments[2].total_seconds(), last.total_seconds());
+  EXPECT_TRUE(Device::replay(KernelTape{}, profile_gpu1(), 5).empty());
+}
+
 TEST(Profiles, AllNamedProfilesResolve) {
   for (const std::string& name : all_profile_names()) {
     const DeviceProfile p = profile_by_name(name);

@@ -251,6 +251,31 @@ TEST(TraceTest, ExportIsWellFormedAndSortedAcrossThreads) {
   EXPECT_TRUE(std::is_sorted(ts.begin(), ts.end()));
 }
 
+TEST(TraceTest, PartlyFilledRingExportsWhatItHolds) {
+  TraceRecorder rec(/*ring_capacity=*/8);
+  rec.enable();
+  // Timestamps out of recording order: which events survive depends on the
+  // ring's order, the export order only on the sort.
+  const auto ts_of = [](int i) { return (i * 5) % 11; };
+  for (int i = 0; i < 5; ++i) rec.record(instant("tick", ts_of(i)));
+  EXPECT_EQ(rec.buffered(), 5u);
+  EXPECT_EQ(rec.dropped(), 0u);
+  std::string json = rec.chrome_trace_json();
+  EXPECT_EQ(extract_ts(json), (std::vector<long>{0, 4, 5, 9, 10}));
+  EXPECT_NE(json.find("\"dropped\":0,\"events\":5"), std::string::npos);
+
+  // After a clear the ring refills from its first slot, grows past its old
+  // fill to capacity, then drops the oldest.
+  rec.clear();
+  for (int i = 0; i < 11; ++i) rec.record(instant("tick", ts_of(i)));
+  EXPECT_EQ(rec.buffered(), 8u);
+  EXPECT_EQ(rec.dropped(), 3u);
+  json = rec.chrome_trace_json();
+  // Recorded 0 5 10 4 9 3 8 2 7 1 6; the first three are gone.
+  EXPECT_EQ(extract_ts(json), (std::vector<long>{1, 2, 3, 4, 6, 7, 8, 9}));
+  EXPECT_NE(json.find("\"dropped\":3,\"events\":8"), std::string::npos);
+}
+
 // --- Cluster integration ----------------------------------------------------
 
 model::StudyConfig tiny_calibration() {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "dpp/profiles.hpp"
 #include "math/colormap.hpp"
 #include "mesh/fields.hpp"
 #include "mesh/scenes.hpp"
@@ -321,6 +322,78 @@ TEST(UnstructuredVR, AllFourPhasesReportTime) {
   for (const char* phase :
        {"initialization", "pass_selection", "screen_space", "sampling", "compositing"})
     EXPECT_GT(stats.phase_seconds(phase), 0.0) << phase;
+}
+
+// --- Kernel tape: a taped render priced on another profile ------------------
+
+// Every field of every phase, bit for bit, and the total.
+void expect_same_log(const dpp::TimingLog& replayed, const dpp::TimingLog& live) {
+  ASSERT_EQ(replayed.phases.size(), live.phases.size());
+  for (const auto& [name, rec] : live.phases) {
+    const auto it = replayed.phases.find(name);
+    ASSERT_NE(it, replayed.phases.end()) << name;
+    EXPECT_EQ(it->second.seconds, rec.seconds) << name;
+    EXPECT_EQ(it->second.est_ops, rec.est_ops) << name;
+    EXPECT_EQ(it->second.est_bytes, rec.est_bytes) << name;
+    EXPECT_EQ(it->second.kernels, rec.kernels) << name;
+  }
+  EXPECT_EQ(replayed.total_seconds(), live.total_seconds());
+}
+
+// The tape is recorded on one profile and seed and replayed on another; the
+// live device uses that other profile and seed.
+struct TapePricing {
+  dpp::KernelTape tape;
+  dpp::Device taped = dpp::Device::simulated(dpp::profile_cpu1(), 11);
+  dpp::Device live = dpp::Device::simulated(dpp::profile_gpu2(), 29);
+  TapePricing() { taped.attach_tape(&tape); }
+  std::vector<dpp::TimingLog> replay() const {
+    return dpp::Device::replay(tape, dpp::profile_gpu2(), 29);
+  }
+};
+
+TEST(KernelTape, RayTracerBuildAndRenderReplayAsLive) {
+  Fixture f;
+  TapePricing p;
+  RayTracer taped_rt(f.sphere, p.taped);
+  Image taped_img;
+  taped_rt.render(f.cam, f.colors, taped_img);
+
+  RayTracer live_rt(f.sphere, p.live);
+  Image live_img;
+  const RenderStats live = live_rt.render(f.cam, f.colors, live_img);
+
+  // Marks: the build's reset, the one after it, and render()'s reset; the
+  // middle segment is empty.
+  const std::vector<dpp::TimingLog> segments = p.replay();
+  ASSERT_EQ(segments.size(), 3u);
+  expect_same_log(segments.front(), live_rt.bvh_build_stats().timings);
+  EXPECT_TRUE(segments[1].phases.empty());
+  expect_same_log(segments.back(), live.timings);
+  EXPECT_GT(segments.back().phases.at("trace").kernels, 0u);
+}
+
+TEST(KernelTape, RasterizerReplaysAsLive) {
+  Fixture f;
+  TapePricing p;
+  Image taped_img, live_img;
+  Rasterizer(f.sphere, p.taped).render(f.cam, f.colors, taped_img);
+  const RenderStats live = Rasterizer(f.sphere, p.live).render(f.cam, f.colors, live_img);
+  const std::vector<dpp::TimingLog> segments = p.replay();
+  ASSERT_EQ(segments.size(), 1u);
+  expect_same_log(segments.back(), live.timings);
+}
+
+TEST(KernelTape, VolumeRendererReplaysAsLive) {
+  VolumeFixture f;
+  TapePricing p;
+  const TransferFunction tf(f.colors, 0.05f, 0.3f);
+  Image taped_img, live_img;
+  StructuredVolumeRenderer(f.grid, p.taped).render(f.cam, tf, taped_img);
+  const RenderStats live = StructuredVolumeRenderer(f.grid, p.live).render(f.cam, tf, live_img);
+  const std::vector<dpp::TimingLog> segments = p.replay();
+  ASSERT_EQ(segments.size(), 1u);
+  expect_same_log(segments.back(), live.timings);
 }
 
 TEST(Image, PpmAndPngWritersProduceFiles) {

@@ -5,6 +5,8 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "model/study.hpp"
 
@@ -111,6 +113,16 @@ TEST_F(StudyEndToEnd, GpuIsFasterThanCpuProfileOnSameWork) {
   EXPECT_GT(cpu_total, gpu_total * 1.5);
 }
 
+TEST(StudyHelpers, NoArchOrNoValidRendererGivesAnEmptyCorpus) {
+  StudyConfig cfg = tiny_config();
+  cfg.archs.clear();
+  EXPECT_TRUE(run_study(cfg).empty());
+  cfg = tiny_config();
+  cfg.sims = {"lulesh"};
+  cfg.renderers = {RendererKind::kVolume};  // no grid to volume render
+  EXPECT_TRUE(run_study(cfg).empty());
+}
+
 TEST(StudyHelpers, ScaleFromEnvDefaultsToOne) {
   EXPECT_DOUBLE_EQ(study_scale_from_env(), 1.0);
 }
@@ -207,6 +219,47 @@ TEST(StudyDeterminism, VerboseOutputKeepsGridOrderAtAnyThreadCount) {
     ++i;
   }
   EXPECT_EQ(i, serial.size());
+}
+
+// A multi-arch study renders each job once per renderer, live on the first
+// arch, and prices the other archs by replaying kernel tapes; a one-arch
+// study renders live on its arch. Both must agree bit for bit.
+TEST(StudyPricing, MultiArchStudyEqualsItsOneArchStudies) {
+  StudyConfig cfg = determinism_config();
+  cfg.archs = {"GPU2", "CPU1", "GPU1"};
+  cfg.sims = {"cloverleaf", "lulesh", "kripke"};
+  cfg.tasks = {1, 5};  // 5 ranks take the rank fan-out at threads = 4
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    cfg.threads = threads;
+    const std::vector<Observation> multi = run_study(cfg);
+
+    // Grid order within a job is arch-major: each arch's one-arch block
+    // for the job, in config.archs order.
+    std::vector<std::vector<Observation>> single;
+    for (const std::string& arch : cfg.archs) {
+      StudyConfig one = cfg;
+      one.archs = {arch};
+      single.push_back(run_study(one));
+    }
+    const auto same_job = [](const Observation& a, const Observation& b) {
+      return a.sim == b.sim && a.tasks == b.tasks && a.image_size == b.image_size &&
+             a.n_per_task == b.n_per_task;
+    };
+    std::vector<Observation> expected;
+    for (std::size_t begin = 0; begin < single[0].size();) {
+      std::size_t end = begin + 1;
+      while (end < single[0].size() && same_job(single[0][end], single[0][begin])) ++end;
+      for (const std::vector<Observation>& one : single)
+        expected.insert(expected.end(), one.begin() + static_cast<std::ptrdiff_t>(begin),
+                        one.begin() + static_cast<std::ptrdiff_t>(end));
+      begin = end;
+    }
+    // 3 sims x 2 tasks x 2 samples x 3 archs x 3 renderers, minus the
+    // volume renderer on lulesh: 108 - 12 = 96.
+    EXPECT_EQ(multi.size(), 96u);
+    expect_identical(expected, multi);
+  }
 }
 
 }  // namespace
