@@ -1,7 +1,8 @@
 // Ratio legs (beyond the paper): every parallel, streaming, fault or
 // tracing path timed against its reference path on the same box, in
-// alternating pairs (bench::paired_ratio), reporting the median per-pair
-// throughput ratio. Ratios, not absolute rates, are what survive a change
+// alternating pairs (bench::paired_ratio; each side of a pair is the
+// median of repeated runs over at least 20 ms of timed work), reporting the
+// median per-pair throughput ratio. Ratios, not absolute rates, are what survive a change
 // of host; absolute serving rates live in perfbench (BENCHMARK.json).
 //
 //   leg                      side A                  side B          floor
@@ -50,8 +51,8 @@ namespace {
 // ten runs) while admission paid one lock of each kind per request, and
 // 0.81-1.30x (median 1.09, six runs) once sessions admit buffered runs;
 // earlier hosts of that kind read 0.55-0.62x. Below the floor, the shard
-// hop costs more than the evaluation it spreads (ROADMAP item 2), so the
-// floor is not lowered.
+// hop costs more than the evaluation it spreads (ROADMAP, "Cold serving
+// that beats serial"), so the floor is not lowered.
 constexpr double kMatchFloor = 0.85;
 // Chaos vs fault-free. At kFaultRate nearly every batch crashes, so the
 // chaos side is dominated by crash-detection latency (~190 restarts x the

@@ -54,6 +54,26 @@ Camera close_camera(const AABB& bounds, int width, int height) {
   return Camera::framing(bounds, width, height, 1.6f);
 }
 
+namespace {
+
+// Seconds per run of one side: its runs repeat until their timed seconds
+// sum to kSideBudgetSeconds, and the side reads as its median run. A run
+// the host descheduled (10-90 ms among 2 ms runs, seen on a 4-vCPU guest)
+// then moves neither the side nor the pair, where it would dominate a mean.
+double side_seconds(const std::function<double()>& side) {
+  std::vector<double> runs;
+  double total = 0.0;
+  while (total < kSideBudgetSeconds) {
+    runs.push_back(side());
+    total += runs.back();
+  }
+  const auto mid = runs.begin() + static_cast<std::ptrdiff_t>(runs.size() / 2);
+  std::nth_element(runs.begin(), mid, runs.end());
+  return *mid;
+}
+
+}  // namespace
+
 PairedRatio paired_ratio(const std::function<double()>& a, const std::function<double()>& b) {
   std::vector<double> ratios;
   const auto start = std::chrono::steady_clock::now();
@@ -63,11 +83,11 @@ PairedRatio paired_ratio(const std::function<double()>& a, const std::function<d
   while (static_cast<int>(ratios.size()) < kMinPairs || elapsed() < kLegBudgetSeconds) {
     double ta = 0.0, tb = 0.0;
     if (ratios.size() % 2 == 0) {
-      ta = a();
-      tb = b();
+      ta = side_seconds(a);
+      tb = side_seconds(b);
     } else {
-      tb = b();
-      ta = a();
+      tb = side_seconds(b);
+      ta = side_seconds(a);
     }
     ratios.push_back(ta > 0.0 ? tb / ta : 0.0);
   }

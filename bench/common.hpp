@@ -59,10 +59,13 @@ struct PairedRatio {
 // The time-bounded repeat loop (goma's RenderingBenchmark::run idiom): runs
 // side A and side B in alternating pairs, swapping which side goes first
 // each pair, until kLegBudgetSeconds of wall time is spent and at least
-// kMinPairs pairs ran. Each side runs once per call and returns the seconds
+// kMinPairs pairs ran. One call of a side is one run returning the seconds
 // of its own timed region, so per-run set-up (a fresh cluster) stays out of
-// the ratio but inside the budget.
-constexpr double kLegBudgetSeconds = 0.1;
+// the ratio but inside the budget; each side of a pair repeats its run
+// until the timed seconds sum to kSideBudgetSeconds and counts its median
+// run, so no pair rests on one few-millisecond run.
+constexpr double kLegBudgetSeconds = 2.0;
+constexpr double kSideBudgetSeconds = 0.02;
 constexpr int kMinPairs = 3;
 PairedRatio paired_ratio(const std::function<double()>& a, const std::function<double()>& b);
 

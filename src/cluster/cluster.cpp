@@ -151,20 +151,12 @@ ServingCluster::ServingCluster(ClusterConfig config,
   const int n_shards = config_.shards > 0 ? config_.shards : 1;
   config_.shards = n_shards;
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
-  // A batch can never outgrow the queue: the worker popping a FULL queue
-  // must find an immediately poppable (kSize) batch, not wait out the
-  // coalescing deadline while admitters block on a queue it won't drain.
-  if (config_.batch_size > config_.queue_capacity)
-    config_.batch_size = config_.queue_capacity;
   if (config_.batch_size == 0) config_.batch_size = 1;
   if (config_.replay_service_us <= 0.0) config_.replay_service_us = 4.0;
-  const auto deadline = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      std::chrono::duration<double, std::milli>(
-          config_.batch_deadline_ms > 0.0 ? config_.batch_deadline_ms : 0.0));
   shards_.reserve(static_cast<std::size_t>(n_shards));
   for (int s = 0; s < n_shards; ++s)
     shards_.push_back(std::make_unique<Shard>(s, config_.queue_capacity,
-                                              config_.batch_size, deadline,
+                                              config_.batch_size,
                                               config_.replay_service_us));
   backlog_end_us_.assign(static_cast<std::size_t>(n_shards), 0.0);
 
@@ -614,13 +606,11 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
 }
 
 void ServingCluster::end_stream(std::uint64_t stream) {
-  if (replaying_.load(std::memory_order_relaxed)) {
-    std::lock_guard<std::mutex> lock(admission_mutex_);
-    replay_len_.erase(stream);
-    skip_closed_replay_records();
-    replay_cv_.notify_all();
-  }
-  for (const auto& shard : shards_) shard->kick();
+  if (!replaying_.load(std::memory_order_relaxed)) return;
+  std::lock_guard<std::mutex> lock(admission_mutex_);
+  replay_len_.erase(stream);
+  skip_closed_replay_records();
+  replay_cv_.notify_all();
 }
 
 void ServingCluster::skip_closed_replay_records() {
@@ -644,20 +634,20 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
                                  const char* note) {
     tr->record(obs::request_event(name, 'i', tr->now_us(), item.session->id(), item.slot, note));
   };
-  const auto degrade_exhausted = [&](StreamItem& item) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "retry budget exhausted after %d attempts",
-                  config_.retry_limit + 1);
+  const auto degrade = [&](StreamItem& item, const char* note, const std::string& why) {
     degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (tracing) trace_instant(item, "deliver", "degraded");
-    item.session->deliver(item.slot, degraded_response(buf));
+    if (tracing) trace_instant(item, "deliver", note);
+    item.session->deliver(item.slot, degraded_response(why));
   };
   for (StreamItem& item : items) {
     // Retry budget first: an item that already triggered retry_limit + 1
     // faults degrades with a deterministic message (a pure function of the
     // config, so fixed-seed runs reproduce it byte for byte).
     if (item.attempt > config_.retry_limit) {
-      degrade_exhausted(item);
+      char buf[96];
+      std::snprintf(buf, sizeof(buf), "retry budget exhausted after %d attempts",
+                    config_.retry_limit + 1);
+      degrade(item, "degraded", buf);
       continue;
     }
     // Per-request timeout: a re-driven item whose absolute deadline already
@@ -672,10 +662,7 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
               .count();
       if (now_us > item.deadline_at_us) {
         timeouts_.fetch_add(1, std::memory_order_relaxed);
-        degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-        if (tracing) trace_instant(item, "deliver", "timeout");
-        item.session->deliver(item.slot,
-                              degraded_response("deadline exceeded during retry"));
+        degrade(item, "timeout", "deadline exceeded during retry");
         continue;
       }
     }
@@ -691,65 +678,37 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
     }
     retries_.fetch_add(1, std::memory_order_relaxed);
     if (tracing) trace_instant(item, "retry", nullptr);
-    // Failover target: the first live shard other than the one that failed
+    // Re-drive target: the first live shard other than the one that failed
     // the item, walking the key's deterministic rendezvous order — the
     // same permutation hot-key splitting uses, so a key's retry placement
-    // is as stable as its routing.
-    int target = -1;
+    // is as stable as its routing — or, with no live sibling, the failing
+    // shard's own queue. Its drain takes the item's next fault decision
+    // like any other: the decision is a pure function of (stream, seq,
+    // attempt), so WHO re-tries an item never changes the bytes.
+    int target = from_shard;
     for (const int s : router_.rendezvous_order(item.corpus_key, item.request.arch)) {
       if (s == from_shard) continue;
       if (health(static_cast<std::size_t>(s)) == ShardHealth::kDown) continue;
       target = s;
       break;
     }
-    const std::uint64_t item_stream = item.session->id();
-    const std::uint64_t item_seq = item.slot;
-    // Stamped before the handoff: once the target queue holds the item it
-    // may deliver at any moment, and the failover instant must not postdate
-    // that terminal.
-    const std::int64_t handoff_us = tracing ? tr->now_us() : 0;
-    if (target >= 0 &&
-        shards_[static_cast<std::size_t>(target)]->try_enqueue(std::move(item))) {
+    // Counted and traced before the handoff: once the target queue holds
+    // the item it may deliver at any moment, and neither a client reading
+    // metrics after close() nor the trace's chain may then still owe the
+    // failover.
+    if (target != from_shard) {
       failovers_.fetch_add(1, std::memory_order_relaxed);
       if (tracing) {
-        obs::TraceEvent e = obs::request_event("failover", 'i', handoff_us, item_stream, item_seq);
+        obs::TraceEvent e =
+            obs::request_event("failover", 'i', tr->now_us(), item.session->id(), item.slot);
         e.values = 1;
         e.v0 = target;
         tr->record(e);
       }
-      // Flush promptly: the re-driven item may be a closing stream's last
-      // owed slot, past its kick.
-      shards_[static_cast<std::size_t>(target)]->kick();
-      continue;
     }
-    // No live alternative (single shard, every sibling down) or the target
-    // queue is full/closed — try_enqueue left the item untouched. Evaluate
-    // inline through the failing shard: never blocks (a blocking
-    // push from worker/watchdog context could deadlock shards against each
-    // other), and the response is the normal pure bytes, because WHO
-    // evaluates never matters. WHETHER it fails still must: the inline
-    // path takes the same per-item decision the shard drain takes
-    // (item_fault: crash site first, then eval-throw, each consuming the
-    // attempt) — or a transiently unreachable sibling would let a request
-    // dodge its scheduled failures and break same-seed byte identity. A
-    // crash firing here cannot kill a worker (this is watchdog or sibling-
-    // worker context); both sites are just transient failures.
-    for (;;) {
-      if (item.attempt > config_.retry_limit) {
-        degrade_exhausted(item);
-        break;
-      }
-      if (faults_.armed() && item_fault(faults_, item) != ItemFault::kNone) {
-        item.attempt += 1;
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      serve::AdvisorResponse r =
-          shards_[static_cast<std::size_t>(from_shard)]->evaluate(item);
-      if (tracing) trace_instant(item, "deliver", "inline-eval");
-      item.session->deliver(item.slot, std::move(r));
-      break;
-    }
+    // Only shutdown refuses a re-drive, leaving the item untouched.
+    if (!shards_[static_cast<std::size_t>(target)]->redrive(std::move(item)))
+      degrade(item, "degraded", "cluster shut down before evaluation");
   }
 }
 
@@ -953,10 +912,10 @@ std::vector<serve::AdvisorResponse> StreamSession::close() {
   if (!state_) return {};
   admit_pending();
   // Retire the stream (releasing replay siblings parked behind its unused
-  // records) and flush partial shard batches so the tail is answered
-  // promptly, then wait out every owed slot. The state_ reset is what
-  // marks the handle spent; in-flight items (there are none by now) share
-  // ownership.
+  // records), then wait out every owed slot: the shard drains are
+  // work-conserving, so the in-flight tail is already on its way. The
+  // state_ reset is what marks the handle spent; in-flight items (there
+  // are none by now) share ownership.
   cluster_->end_stream(state_->id());
   std::vector<serve::AdvisorResponse> responses = state_->wait_drained();
   state_.reset();
@@ -1008,10 +967,6 @@ ClusterMetrics ServingCluster::metrics() const {
     const ShardStats s = shard->stats();
     m.shard_queries.push_back(s.queries);
     m.batches += s.batches;
-    m.size_flushes += s.size_flushes;
-    m.deadline_flushes += s.deadline_flushes;
-    m.kick_flushes += s.kick_flushes;
-    m.close_flushes += s.close_flushes;
     m.eval_exceptions += s.eval_exceptions;
     if (shard->max_queue_depth() > m.max_queue_depth)
       m.max_queue_depth = shard->max_queue_depth();

@@ -24,7 +24,7 @@
 //                  │   ──would miss──> explicit shed response ──────> slot
 //                  └─> the shard's bounded ordered queue (strict priority,
 //                      EDF within a class) ─> the shard's dedicated worker
-//                      thread drains coalesced batches ─>
+//                      thread pops whatever is queued, up to batch_size ─>
 //                      serve::answer_batch against each item's pinned
 //                      corpus bundle ─> slot (+ cache insert)
 //
@@ -71,9 +71,10 @@
 // Fault tolerance (PR 7): shard workers are supervised — evaluation
 // exceptions become in-slot error responses, a heartbeat watchdog restarts
 // crashed workers and re-drives the batch they held, and transient
-// failures retry with bounded exponential backoff against the next shard
-// in the key's rendezvous order (routing around shards marked down),
-// degrading explicitly ("degraded":true on the wire) once the retry budget
+// failures retry with bounded exponential backoff through the queue of the
+// next live shard in the key's rendezvous order (the failing shard's own
+// queue when it has no live sibling — the shard drain is the one place a
+// queued request is evaluated), degrading explicitly ("degraded":true on the wire) once the retry budget
 // or the request deadline is spent. Every fault is deterministic: the
 // core::FaultInjector keys each decision on (stream id, per-stream seq,
 // attempt), so a fixed ISR_FAULT_SEED reproduces the same failures — and
@@ -169,8 +170,7 @@ struct ClusterConfig {
   std::size_t cache_entries = 1024;  // total ResponseCache entries; 0 = off
 
   std::size_t queue_capacity = 1024;  // per-shard admission queue bound
-  std::size_t batch_size = 64;        // coalescing flush threshold and admission run length
-  double batch_deadline_ms = 0.5;     // coalescing deadline
+  std::size_t batch_size = 64;        // admission run length and largest drained batch
 
   // Hot-key rebalancing (see cluster/router.hpp): when one (corpus, arch)
   // key's decaying load exceeds imbalance_ratio times a shard's fair
@@ -392,7 +392,7 @@ class ServingCluster {
              std::vector<serve::AdvisorRequest>& run);
 
   // Requests per admitted run (StreamSession::submit's buffer bound): the
-  // coalescing batch size live, so a run fills about one shard batch, and
+  // batch size live, so a run fills about one shard batch, and
   // 1 under record/replay, so every submission is admitted — recorded, or
   // pinned to its schedule record — at its own submit.
   std::size_t run_length() const {
@@ -402,11 +402,9 @@ class ServingCluster {
                : config_.batch_size;
   }
 
-  // StreamSession::close support. Under replay, the stream's unconsumed
-  // schedule records are retired first (a stream closing before it
-  // submitted them must not park its siblings' submissions behind them);
-  // then every shard's partial batch is flushed so the session's in-flight
-  // tail is answered promptly.
+  // StreamSession::close support: under replay, retires the stream's
+  // unconsumed schedule records (a stream closing before it submitted them
+  // must not park its siblings' submissions behind them).
   void end_stream(std::uint64_t stream);
 
   // Advances the replay cursor past records of streams that closed before
@@ -417,13 +415,13 @@ class ServingCluster {
   int resolve_corpus(const std::string& name) const;
 
   // The failover/retry path (shard FailureHandler + watchdog re-drive):
-  // each item either re-enqueues on the next live shard in its key's
-  // rendezvous order (bounded exponential backoff, retries_/failovers_
-  // accounting), is evaluated inline when every queue route is saturated
-  // (pure bytes — WHO evaluates never matters), or — once its retry budget
-  // is spent or its deadline passed — receives an explicit degraded
-  // response. Never blocks on a queue, so it is deadlock-free from worker
-  // and watchdog context alike.
+  // each item either re-drives, after a bounded exponential backoff, into
+  // the queue of the next live shard in its key's rendezvous order (a
+  // failover) or, with no live sibling, back into `from_shard`'s queue —
+  // or, once its retry budget is spent, its deadline passed, or the
+  // cluster shut down, receives an explicit degraded response. Never
+  // blocks on a queue, so it is deadlock-free from worker and watchdog
+  // context alike.
   void redeliver(std::vector<StreamItem>&& items, int from_shard);
 
   // The heartbeat watchdog: polls every shard each watchdog_poll_us,
@@ -564,8 +562,7 @@ class StreamSession {
   // this (stream, seq). Throws std::logic_error on a closed session.
   std::uint64_t submit(const serve::AdvisorRequest& request);
 
-  // Admits the buffered run, flushes in-flight requests (partial shard
-  // batches are kicked), waits for every response, and returns them in
+  // Admits the buffered run, waits for every response, and returns them in
   // submission order. The session is spent afterwards (open() == false).
   std::vector<serve::AdvisorResponse> close();
 

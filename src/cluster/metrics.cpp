@@ -65,8 +65,7 @@ std::string ClusterMetrics::to_jsonl() const {
       "\"worker_restarts\":%ld,\"failovers\":%ld,\"retries\":%ld,"
       "\"timeouts\":%ld,\"degraded_queries\":%ld,\"eval_exceptions\":%ld,"
       "\"faults_injected\":%ld,\"shard_health\":%s,"
-      "\"batches\":%ld,\"size_flushes\":%ld,\"deadline_flushes\":%ld,"
-      "\"kick_flushes\":%ld,\"close_flushes\":%ld,\"max_queue_depth\":%zu,"
+      "\"batches\":%ld,\"max_queue_depth\":%zu,"
       "\"queue_wait_us\":%s,\"service_us\":%s,\"e2e_us\":%s,"
       "\"p50_latency_ms\":%.6f,\"p99_latency_ms\":%.6f}";
   const std::string queue_wait_json = queue_wait.to_json();
@@ -79,9 +78,8 @@ std::string ClusterMetrics::to_jsonl() const {
       epoch_invalidations, streams, shed_queries, rebalanced_queries, hot_keys,
       cache_lookups, cache_hits, cache_hit_rate, worker_restarts, failovers, retries,
       timeouts, degraded_queries, eval_exceptions, faults_injected,
-      health_list.c_str(), batches, size_flushes, deadline_flushes, kick_flushes,
-      close_flushes, max_queue_depth, queue_wait_json.c_str(), service_json.c_str(),
-      e2e_json.c_str(), p50_latency_ms, p99_latency_ms);
+      health_list.c_str(), batches, max_queue_depth, queue_wait_json.c_str(),
+      service_json.c_str(), e2e_json.c_str(), p50_latency_ms, p99_latency_ms);
   std::string line(static_cast<std::size_t>(len > 0 ? len : 0), '\0');
   std::snprintf(&line[0], line.size() + 1, fmt, shards, queries, shard_list.c_str(),
                 corpus_map.c_str(), unknown_corpus_queries, epoch_map.c_str(), refits,
@@ -89,7 +87,6 @@ std::string ClusterMetrics::to_jsonl() const {
                 rebalanced_queries, hot_keys, cache_lookups, cache_hits, cache_hit_rate,
                 worker_restarts, failovers, retries, timeouts, degraded_queries,
                 eval_exceptions, faults_injected, health_list.c_str(), batches,
-                size_flushes, deadline_flushes, kick_flushes, close_flushes,
                 max_queue_depth, queue_wait_json.c_str(), service_json.c_str(),
                 e2e_json.c_str(), p50_latency_ms, p99_latency_ms);
   return line;

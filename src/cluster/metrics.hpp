@@ -71,11 +71,12 @@ struct ClusterMetrics {
   long faults_injected = 0;
   std::vector<std::string> shard_health;
 
-  long batches = 0;  // coalesced batches drained across all shards
-  long size_flushes = 0;      // batch reached the configured batch size
-  long deadline_flushes = 0;  // coalescing deadline fired first
-  long kick_flushes = 0;      // a closing stream flushed a partial batch
-  long close_flushes = 0;     // queue shutdown drained a partial batch
+  long batches = 0;  // batches drained across all shards
+  // Always 0, and not on the metrics line: the shard queues drain whatever
+  // is queued, so no batch waits on a kick or a coalescing deadline. Kept
+  // only because perfbench's serving workloads still read them.
+  long kick_flushes = 0;
+  long deadline_flushes = 0;
   std::size_t max_queue_depth = 0;  // deepest any shard queue ever was
 
   // Per-stage latency histograms (microseconds, log2 buckets, bounded

@@ -15,6 +15,13 @@ const char* shard_health_name(ShardHealth health) {
   return "?";
 }
 
+namespace {
+
+// The per-item fault decision: worker crash first, then eval throw. A pure
+// function of (stream, seq, attempt), so WHERE an item is tried never
+// changes whether it fails.
+enum class ItemFault { kNone, kCrash, kThrow };
+
 ItemFault item_fault(core::FaultInjector& faults, const StreamItem& item) {
   const std::uint64_t stream = item.session->id();
   const auto attempt = static_cast<std::uint64_t>(item.attempt);
@@ -25,11 +32,12 @@ ItemFault item_fault(core::FaultInjector& faults, const StreamItem& item) {
   return ItemFault::kNone;
 }
 
+}  // namespace
+
 Shard::Shard(int index, std::size_t queue_capacity, std::size_t batch_size,
-             std::chrono::nanoseconds batch_deadline, double initial_service_us)
+             double initial_service_us)
     : index_(index),
       batch_size_(batch_size > 0 ? batch_size : 1),
-      batch_deadline_(batch_deadline),
       queue_(queue_capacity),
       service_estimate_us_(initial_service_us > 0.0 ? initial_service_us : 1.0) {}
 
@@ -85,13 +93,10 @@ serve::AdvisorResponse Shard::evaluate(const StreamItem& item) {
   // dead worker. The message is a pure function of the exception, which is
   // itself a pure function of (request, models), so the bytes stay
   // deterministic.
-  // The scratch is per calling thread, not per shard: the cluster's inline
-  // re-drive calls this from watchdog and sibling-worker threads too.
   try {
-    thread_local serve::EvalScratch scratch;
     const serve::AdvisorRequest* request = &item.request;
     serve::AdvisorResponse* slot = &response;
-    serve::answer_batch(*item.bundle, *item.constants, &request, 1, &slot, scratch);
+    serve::answer_batch(*item.bundle, *item.constants, &request, 1, &slot, eval_scratch_);
   } catch (const std::exception& e) {
     response = serve::AdvisorResponse{};
     response.status = serve::AdvisorResponse::Status::kError;
@@ -165,11 +170,7 @@ void Shard::evaluate_batch(std::vector<StreamItem>& batch,
 
 Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
   std::vector<StreamItem>& batch = batch_scratch_;
-  const core::BatchFlush flush = queue_.pop_batch(batch_size_, batch_deadline_, batch);
-  if (flush == core::BatchFlush::kEmpty) return DrainStatus::kStop;
-  // A kick can race the worker draining the queue empty; that is not a
-  // batch — record nothing and keep watching the queue.
-  if (batch.empty()) return DrainStatus::kContinue;
+  if (!queue_.pop_batch(batch_size_, batch)) return DrainStatus::kStop;
   // Queue wait ends here: the pop timestamp closes every item's
   // enqueue->pop interval (fault stalls below count as service, not wait).
   const auto pop_now = std::chrono::steady_clock::now();
@@ -268,7 +269,7 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
 
   // Account the batch BEFORE delivering: the final delivery may wake a
   // close()d session whose client immediately reads metrics(), and the
-  // flush that carried its responses must already be counted. Every popped
+  // batch that carried its responses must already be counted. Every popped
   // item waited; only evaluated ones count as queries and service — the
   // transient failures in `failed` are the failover path's to account.
   double wait_us_sum = 0.0;
@@ -276,10 +277,6 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.queries += static_cast<long>(n);
     stats_.batches += 1;
-    if (flush == core::BatchFlush::kSize) stats_.size_flushes += 1;
-    else if (flush == core::BatchFlush::kDeadline) stats_.deadline_flushes += 1;
-    else if (flush == core::BatchFlush::kKicked) stats_.kick_flushes += 1;
-    else stats_.close_flushes += 1;
     for (const std::vector<StreamItem>* items : {&batch, &failed}) {
       for (const StreamItem& item : *items) {
         const double wait_us = item_wait_us(item);

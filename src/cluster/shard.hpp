@@ -5,22 +5,22 @@
 // was admitted under plus its corpus's mapping constants, so any shard can
 // evaluate any item — placement, failover, and even a mid-flight
 // recalibration swap can never change the bytes a request answers. The
-// worker drains coalesced batches — flushed on batch size, on the
-// coalescing deadline, on a kick (a closing stream flushing its in-flight
-// tail), or on shutdown — in strict-priority/EDF order, through ONE drain
-// path: each batch is evaluated by serve::answer_batch, grouped by pinned
-// (bundle, constants) pair. Fault injection and live tracing are hooks on
-// that path, not a second one: an evaluation that throws becomes an
-// in-slot error response (never a dead thread), an injected transient
-// failure hands the item to the cluster's failure handler for
-// retry/failover, and a (simulated) worker crash parks the undelivered
-// batch in an in-flight ledger the heartbeat watchdog re-drives after
-// restart() — which is what makes StreamSession::close() un-hangable:
-// every admitted item is always delivered by SOMEONE.
+// worker pops whatever is queued, up to the batch size, in strict-priority/
+// EDF order (the queue is work-conserving: admission already pushes runs),
+// through ONE drain path: each batch is evaluated by serve::answer_batch,
+// grouped by pinned (bundle, constants) pair. Fault injection and live
+// tracing are hooks on that path, not a second one: an evaluation that
+// throws becomes an in-slot error response (never a dead thread), an
+// injected transient failure hands the item to the cluster's failure
+// handler, which re-drives it through a shard queue — this drain is the
+// only place a queued request is ever evaluated — and a (simulated) worker
+// crash parks the undelivered batch in an in-flight ledger the heartbeat
+// watchdog re-drives after restart() — which is what makes
+// StreamSession::close() un-hangable: every admitted item is always
+// delivered by SOMEONE.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -49,33 +49,23 @@ enum class ShardHealth : int { kHealthy = 0, kDegraded = 1, kDown = 2 };
 const char* shard_health_name(ShardHealth health);
 
 // Items the worker could not answer in place (injected transient
-// failures): the cluster's handler retries them against the next shard in
-// their key's rendezvous order, or degrades them once the retry budget is
-// spent. `from_shard` is the shard that failed them.
+// failures): the cluster's handler re-drives them into the queue of the
+// next live shard in their key's rendezvous order (or back into
+// `from_shard`'s, with no live sibling), or degrades them once the retry
+// budget is spent. `from_shard` is the shard that failed them.
 using FailureHandler = std::function<void(std::vector<StreamItem>&&, int from_shard)>;
-
-// The per-item fault decision, shared by the shard drain and the cluster's
-// inline re-drive so both walk the same ladder: worker crash first, then
-// eval throw. A pure function of (stream, seq, attempt), so WHERE an item
-// is tried never changes whether it fails.
-enum class ItemFault { kNone, kCrash, kThrow };
-ItemFault item_fault(core::FaultInjector& faults, const StreamItem& item);
 
 // Per-shard counters, merged into ClusterMetrics by the cluster.
 struct ShardStats {
   long queries = 0;  // requests this shard evaluated AND delivered
   long batches = 0;
-  long size_flushes = 0;
-  long deadline_flushes = 0;
-  long kick_flushes = 0;  // partial batches flushed by a closing stream
-  long close_flushes = 0;
   long eval_exceptions = 0;  // evaluations that threw (answered in-slot)
 };
 
 class Shard {
  public:
   Shard(int index, std::size_t queue_capacity, std::size_t batch_size,
-        std::chrono::nanoseconds batch_deadline, double initial_service_us);
+        double initial_service_us);
   // Joins the worker if the owner forgot stop(); sessions are closed by
   // then per the cluster contract, so nothing can be in flight.
   ~Shard();
@@ -100,25 +90,14 @@ class Shard {
   // Returns how many items went in; fewer than `count` only after
   // shutdown — the caller must then answer items[returned..count) itself
   // (deliver an error), or close() would hang.
-  // kick() flushes the current partial batch to the worker — a closing
-  // stream's in-flight tail must not wait out the coalescing deadline.
   std::size_t enqueue_run(StreamItem* items, std::size_t count) {
     return queue_.push_run(items, count);
   }
-  // Non-blocking variant for the failover path: workers and the watchdog
-  // re-drive items with this (falling back to inline evaluation on a full
-  // queue), because a blocking push from a worker into a sibling's full
-  // queue could deadlock two shards against each other.
-  bool try_enqueue(StreamItem&& item) { return queue_.try_push(std::move(item)); }
-  void kick() { queue_.kick(); }
-
-  // The pure per-item evaluation (serve::answer_batch on a one-item batch
-  // against the item's pinned bundle and constants), exceptions converted
-  // to in-slot error responses. Public so the cluster's failover path can
-  // evaluate inline when every queue route is saturated — the response is
-  // a pure function of (request, pinned bundle), so WHO evaluates never
-  // changes the bytes.
-  serve::AdvisorResponse evaluate(const StreamItem& item);
+  // The failover path's push: workers and the watchdog re-drive failed
+  // items with this. It never blocks (a blocking push from a worker into a
+  // sibling's full queue could deadlock two shards against each other) and
+  // fails only after shutdown, leaving the item untouched.
+  bool redrive(StreamItem&& item) { return queue_.push_redrive(std::move(item)); }
 
   // --- Supervision surface (the cluster's heartbeat watchdog) -----------
   // Monotone liveness counter, bumped once per worker loop iteration; a
@@ -167,7 +146,7 @@ class Shard {
   enum class DrainStatus { kContinue, kStop, kCrashed };
 
   void worker_loop();
-  // The one drain path: pop a coalesced batch, run the fault hooks (armed
+  // The one drain path: pop a batch, run the fault hooks (armed
   // injector only: ledger parking, the head's stall, per-item crash/throw
   // decisions in batch order), evaluate what remains, fill the cache,
   // account, trace (live-clock recorder only), and deliver.
@@ -178,10 +157,12 @@ class Shard {
   // evaluate() for that group, preserving the in-slot error contract.
   void evaluate_batch(std::vector<StreamItem>& batch,
                       std::vector<serve::AdvisorResponse>& responses);
+  // One item through serve::answer_batch on a one-item batch, exceptions
+  // converted to in-slot error responses — evaluate_batch's fallback.
+  serve::AdvisorResponse evaluate(const StreamItem& item);
 
   int index_;
   std::size_t batch_size_;
-  std::chrono::nanoseconds batch_deadline_;
   core::OrderedBatchQueue<StreamItem, StreamBefore> queue_;
   std::atomic<double> service_estimate_us_;
   std::atomic<double> queue_wait_estimate_us_{0.0};

@@ -23,8 +23,8 @@ thread_local ThreadCache t_cache;
 }  // namespace
 
 struct TraceRecorder::Ring {
-  explicit Ring(std::size_t capacity_in, std::uint32_t lane_in, std::thread::id owner_in)
-      : capacity(capacity_in), lane(lane_in), owner(owner_in) {}
+  Ring(std::size_t capacity_in, std::uint32_t lane_in)
+      : capacity(capacity_in), lane(lane_in) {}
   // Single-writer ring: only the owning thread appends, so this lock is
   // uncontended on the hot path — it exists to serialize against the
   // exporter's drain (and clear()), not against other producers.
@@ -37,8 +37,31 @@ struct TraceRecorder::Ring {
   std::size_t size = 0;  // valid events (<= capacity)
   std::uint64_t dropped = 0;
   std::uint32_t lane;
+  // The recording thread; std::thread::id{} once it has exited (or before
+  // the first claim), when the next thread without a ring takes this one
+  // over. Guarded by `mutex`.
   std::thread::id owner;
 };
+
+namespace {
+
+// The thread-exit hook: every ring a thread claimed is handed back when it
+// exits, so a restarted worker records into its predecessor's ring (and
+// lane) instead of growing the recorder by one ring per thread ever seen.
+// The hook holds shared ownership, so a ring outlives its recorder until
+// the last thread that claimed it has exited.
+struct ClaimedRings {
+  std::vector<std::shared_ptr<TraceRecorder::Ring>> rings;
+  ~ClaimedRings() {
+    for (const auto& ring : rings) {
+      std::lock_guard<std::mutex> lock(ring->mutex);
+      ring->owner = std::thread::id{};
+    }
+  }
+};
+thread_local ClaimedRings t_claimed;
+
+}  // namespace
 
 TraceRecorder::TraceRecorder(std::size_t ring_capacity)
     : capacity_(ring_capacity > 0 ? ring_capacity : 1),
@@ -69,16 +92,31 @@ TraceRecorder::Ring* TraceRecorder::ring_for_this_thread() {
     return static_cast<Ring*>(t_cache.ring);
   std::lock_guard<std::mutex> lock(registry_mutex_);
   const std::thread::id self = std::this_thread::get_id();
+  // This thread's own ring (it cached another recorder's since), else the
+  // first ring an exited thread handed back, else a new one. A claimed
+  // ring is registered with the thread-exit hook.
   Ring* ring = nullptr;
-  for (const auto& r : rings_)
+  for (const auto& r : rings_) {
+    std::lock_guard<std::mutex> ring_lock(r->mutex);
     if (r->owner == self) {
       ring = r.get();
       break;
     }
-  if (!ring) {
-    rings_.push_back(std::make_unique<Ring>(
-        capacity_, static_cast<std::uint32_t>(rings_.size() + 1), self));
-    ring = rings_.back().get();
+  }
+  for (std::size_t i = 0; !ring && i <= rings_.size(); ++i) {
+    if (i == rings_.size())
+      rings_.push_back(
+          std::make_shared<Ring>(capacity_, static_cast<std::uint32_t>(rings_.size() + 1)));
+    std::lock_guard<std::mutex> ring_lock(rings_[i]->mutex);
+    if (rings_[i]->owner != std::thread::id{}) continue;
+    rings_[i]->owner = self;
+    ring = rings_[i].get();
+    // Rings only this thread still holds belong to destroyed recorders.
+    std::vector<std::shared_ptr<Ring>>& claimed = t_claimed.rings;
+    claimed.erase(std::remove_if(claimed.begin(), claimed.end(),
+                                 [](const auto& r) { return r.use_count() == 1; }),
+                  claimed.end());
+    claimed.push_back(rings_[i]);
   }
   t_cache.owner = this;
   t_cache.uid = uid_;

@@ -11,6 +11,8 @@
 //   - Per-thread rings, drop-oldest. Each recording thread owns one ring;
 //     producers never contend with each other (the per-ring lock has a
 //     single writer and only serializes against the rare exporter drain).
+//     A thread's exit hands its ring to the next thread that records, so
+//     restarted workers reuse rings instead of adding one per thread.
 //     A full ring overwrites its oldest event and bumps a drop counter the
 //     export publishes (otherData.dropped) — tracing sheds history, never
 //     blocks serving.
@@ -118,8 +120,12 @@ class TraceRecorder {
   // registered with their lanes).
   void clear();
 
- private:
+  // One thread's event ring (defined in trace.cpp). A ring outlives the
+  // thread recording into it: when that thread exits, the next thread
+  // that records takes the ring over, lane and events included.
   struct Ring;
+
+ private:
   Ring* ring_for_this_thread();
 
   std::atomic<bool> enabled_{false};
@@ -128,7 +134,7 @@ class TraceRecorder {
   std::chrono::steady_clock::time_point epoch_;
   const std::uint64_t uid_;  // process-unique; guards stale thread caches
   mutable std::mutex registry_mutex_;
-  std::vector<std::unique_ptr<Ring>> rings_;
+  std::vector<std::shared_ptr<Ring>> rings_;
 };
 
 }  // namespace isr::obs

@@ -179,8 +179,8 @@ using IntQueue = core::OrderedBatchQueue<int, IntBefore>;
 
 TEST(OrderedQueueShutdownTest, CloseReleasesProducersBlockedInPush) {
   IntQueue queue(2);
-  ASSERT_TRUE(queue.try_push(1));
-  ASSERT_TRUE(queue.try_push(2));
+  int run[] = {1, 2};
+  ASSERT_EQ(queue.push_run(run, 2), 2u);
 
   // Two producers park inside the blocking push on a full queue. Nothing
   // ever drains; only close() can release them — and it must, with a false
@@ -189,7 +189,8 @@ TEST(OrderedQueueShutdownTest, CloseReleasesProducersBlockedInPush) {
   std::vector<int> results(2, -1);
   for (int t = 0; t < 2; ++t)
     producers.emplace_back([&queue, &results, t] {
-      results[static_cast<std::size_t>(t)] = queue.push(10 + t) ? 1 : 0;
+      int item = 10 + t;
+      results[static_cast<std::size_t>(t)] = static_cast<int>(queue.push_run(&item, 1));
     });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   queue.close();
@@ -197,14 +198,12 @@ TEST(OrderedQueueShutdownTest, CloseReleasesProducersBlockedInPush) {
   EXPECT_EQ(results[0], 0);
   EXPECT_EQ(results[1], 0);
 
-  // The items admitted before the close still drain (kClosed), then the
-  // queue reports empty-and-closed.
+  // The items admitted before the close still drain, then the queue
+  // reports empty-and-closed.
   std::vector<int> batch;
-  EXPECT_EQ(queue.pop_batch(8, std::chrono::nanoseconds(0), batch),
-            core::BatchFlush::kClosed);
+  EXPECT_TRUE(queue.pop_batch(8, batch));
   EXPECT_EQ(batch.size(), 2u);
-  EXPECT_EQ(queue.pop_batch(8, std::chrono::nanoseconds(0), batch),
-            core::BatchFlush::kEmpty);
+  EXPECT_FALSE(queue.pop_batch(8, batch));
 }  // destructor runs here, after close, with no thread inside — the contract
 
 TEST(OrderedQueueShutdownTest, CloseWakesAConsumerParkedOnAnEmptyQueue) {
@@ -212,10 +211,7 @@ TEST(OrderedQueueShutdownTest, CloseWakesAConsumerParkedOnAnEmptyQueue) {
   std::atomic<bool> woke{false};
   std::thread consumer([&queue, &woke] {
     std::vector<int> batch;
-    // A 10-second coalescing deadline the close must preempt.
-    const core::BatchFlush flush =
-        queue.pop_batch(4, std::chrono::seconds(10), batch);
-    EXPECT_EQ(flush, core::BatchFlush::kEmpty);
+    EXPECT_FALSE(queue.pop_batch(4, batch));  // parked until the close
     EXPECT_TRUE(batch.empty());
     woke.store(true);
   });
@@ -226,7 +222,7 @@ TEST(OrderedQueueShutdownTest, CloseWakesAConsumerParkedOnAnEmptyQueue) {
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   EXPECT_TRUE(woke.load());
-  EXPECT_LT(elapsed, 5.0);  // never waited out the deadline
+  EXPECT_LT(elapsed, 5.0);  // the close woke it at once
 }
 
 // --- Router failover order ---------------------------------------------------
@@ -349,6 +345,7 @@ TEST_F(FaultClusterFixture, EvalThrowAtFullRateDegradesEveryRequestAfterBoundedR
   EXPECT_EQ(m.faults_injected, 3 * kRequests);
   EXPECT_EQ(m.worker_restarts, 0);  // throws are absorbed, never fatal
   EXPECT_EQ(m.eval_exceptions, 0);  // injected, not a real evaluation throw
+  EXPECT_EQ(m.shard_queries, (std::vector<long>{0, 0}));  // nothing evaluated
   ASSERT_EQ(m.shard_health.size(), 2u);
 
   // The new observability fields are on the wire.
@@ -360,14 +357,42 @@ TEST_F(FaultClusterFixture, EvalThrowAtFullRateDegradesEveryRequestAfterBoundedR
     EXPECT_NE(line.find(key), std::string::npos) << key << " missing in " << line;
 }
 
+TEST_F(FaultClusterFixture, OneShardEvalThrowAtFullRateRedrivesThroughItsOwnQueue) {
+  // Rate 1.0 on eval-throw with no sibling to fail over to: every failed
+  // attempt goes back into the one shard's own queue, and its drain takes
+  // the next attempt's fault decision like any other. Each request fails
+  // three times and degrades; no re-drive counts as a failover.
+  constexpr int kRequests = 10;
+  ServingCluster cluster(
+      chaos_config(1, 99, 1.0, site_mask(FaultSite::kShardEvalThrow)), primary_);
+  const std::vector<AdvisorResponse> responses =
+      run_serial(cluster, workload(kRequests));
+
+  ASSERT_EQ(responses.size(), static_cast<std::size_t>(kRequests));
+  for (const AdvisorResponse& r : responses) {
+    EXPECT_TRUE(r.degraded());
+    EXPECT_NE(r.error.find("degraded: retry budget exhausted after 3 attempts"),
+              std::string::npos)
+        << r.error;
+  }
+  const ClusterMetrics m = cluster.metrics();
+  EXPECT_EQ(m.degraded_queries, kRequests);
+  EXPECT_EQ(m.retries, 2 * kRequests);
+  EXPECT_EQ(m.failovers, 0);
+  EXPECT_EQ(m.faults_injected, 3 * kRequests);
+  EXPECT_EQ(m.worker_restarts, 0);
+  EXPECT_EQ(m.shard_queries, std::vector<long>{0});  // nothing evaluated
+}
+
 TEST_F(FaultClusterFixture, WorkerCrashIsRestartedAndTheHeldBatchIsRedriven) {
   // Rate 0.5 on worker-crash, single shard: roughly every other request
   // kills the worker mid-batch. The watchdog must reclaim the corpse,
   // restart the worker, and re-drive the held batch — with no sibling
-  // shard to fail over to, the re-drive walks the fault ladder inline, so
-  // a request whose attempts don't all fire is answered with its normal
-  // pure bytes, and one whose three attempts all fire (hash odds ~12.5%)
-  // degrades explicitly. Every slot gets exactly one of the two.
+  // shard to fail over to, back into the restarted worker's own queue,
+  // whose drain takes each attempt's fault decision again. A request
+  // whose attempts don't all fire is answered with its normal pure bytes,
+  // and one whose three attempts all fire (hash odds ~12.5%) degrades
+  // explicitly. Every slot gets exactly one of the two.
   constexpr int kRequests = 12;
   const std::vector<AdvisorRequest> requests = workload(kRequests);
 
@@ -399,14 +424,17 @@ TEST_F(FaultClusterFixture, WorkerCrashIsRestartedAndTheHeldBatchIsRedriven) {
 }
 
 TEST_F(FaultClusterFixture, SameSeedReproducesTheSameDegradedBytesOnAFreshCluster) {
-  // Mixed-fate schedules on two shards. Eval throws alone at rate 0.6
-  // degrade a request only when all three of its attempts fire (~22%).
+  // Mixed-fate schedules on one and two shards. Eval throws alone at rate
+  // 0.6 degrade a request only when all three of its attempts fire (~22%).
   // Throws plus worker crashes at rate 0.35 also kill workers mid-batch, so
   // the watchdog restarts them and re-drives the held batches while failover
   // and retries run. Either way both degraded and answered responses occur.
   // Two fresh clusters with the same seed must agree byte-for-byte on every
   // slot, and the answered slots must match a fault-free run — the injector
-  // disturbs only whom it names.
+  // disturbs only whom it names. A fault decision is a pure function of
+  // (stream, seq, attempt), so the shard count — whether a re-drive fails
+  // over to a sibling or returns to its own queue — cannot move a byte
+  // either.
   constexpr int kRequests = 24;
   const std::vector<AdvisorRequest> requests = workload(kRequests);
   ServingCluster plain(chaos_config(2, 0, 1.0, 0), primary_);
@@ -423,35 +451,47 @@ TEST_F(FaultClusterFixture, SameSeedReproducesTheSameDegradedBytesOnAFreshCluste
       {"eval-throw", 31337, 0.6, site_mask(FaultSite::kShardEvalThrow)},
       {"eval-throw + worker-crash", 777, 0.35, site_mask(FaultSite::kShardEvalThrow) | crash}};
   for (const Schedule& schedule : schedules) {
-    SCOPED_TRACE(schedule.label);
-    ClusterMetrics metrics;
-    const auto chaos = [&] {
-      ServingCluster cluster(
-          chaos_config(2, schedule.seed, schedule.rate, schedule.sites), primary_);
-      std::vector<AdvisorResponse> responses = run_serial(cluster, requests);
-      metrics = cluster.metrics();
-      return responses;
-    };
-    const std::vector<AdvisorResponse> first = chaos();
-    const std::vector<AdvisorResponse> second = chaos();
+    std::vector<std::string> bytes_at_one_shard;
+    for (const int shards : {1, 2}) {
+      SCOPED_TRACE(std::string(schedule.label) + ", " + std::to_string(shards) + " shard(s)");
+      ClusterMetrics metrics;
+      const auto chaos = [&] {
+        ServingCluster cluster(
+            chaos_config(shards, schedule.seed, schedule.rate, schedule.sites), primary_);
+        std::vector<AdvisorResponse> responses = run_serial(cluster, requests);
+        metrics = cluster.metrics();
+        return responses;
+      };
+      const std::vector<AdvisorResponse> first = chaos();
+      const std::vector<AdvisorResponse> second = chaos();
 
-    ASSERT_EQ(first.size(), static_cast<std::size_t>(kRequests));
-    ASSERT_EQ(second.size(), first.size());
-    int degraded = 0;
-    for (std::size_t i = 0; i < first.size(); ++i) {
-      EXPECT_EQ(serve::to_jsonl(first[i]), serve::to_jsonl(second[i])) << "slot " << i;
-      if (first[i].degraded()) {
-        ++degraded;
-      } else {
-        EXPECT_EQ(serve::to_jsonl(expected[i]), serve::to_jsonl(first[i])) << "slot " << i;
+      ASSERT_EQ(first.size(), static_cast<std::size_t>(kRequests));
+      ASSERT_EQ(second.size(), first.size());
+      int degraded = 0;
+      for (std::size_t i = 0; i < first.size(); ++i) {
+        const std::string bytes = serve::to_jsonl(first[i]);
+        EXPECT_EQ(bytes, serve::to_jsonl(second[i])) << "slot " << i;
+        if (shards == 1) {
+          bytes_at_one_shard.push_back(bytes);
+        } else {
+          EXPECT_EQ(bytes, bytes_at_one_shard[i]) << "slot " << i << " vs 1 shard";
+        }
+        if (first[i].degraded()) {
+          ++degraded;
+        } else {
+          EXPECT_EQ(serve::to_jsonl(expected[i]), bytes) << "slot " << i;
+        }
       }
-    }
-    EXPECT_GT(degraded, 0);              // the schedule really injects...
-    EXPECT_LT(degraded, kRequests / 2);  // ...and really spares most
-    EXPECT_GE(metrics.faults_injected, 1);
-    EXPECT_GE(metrics.retries, 1);
-    if (schedule.sites & crash) {
-      EXPECT_GE(metrics.worker_restarts, 1);
+      EXPECT_GT(degraded, 0);              // the schedule really injects...
+      EXPECT_LT(degraded, kRequests / 2);  // ...and really spares most
+      EXPECT_GE(metrics.faults_injected, 1);
+      EXPECT_GE(metrics.retries, 1);
+      if (shards == 1) {
+        EXPECT_EQ(metrics.failovers, 0);
+      }
+      if (schedule.sites & crash) {
+        EXPECT_GE(metrics.worker_restarts, 1);
+      }
     }
   }
 }

@@ -1,6 +1,7 @@
 // Tests for the observability layer (src/obs/): log2-bucket histogram
 // boundaries, merge associativity, percentile estimates vs exact
 // nearest-rank on the same samples, trace ring overflow + drop counters,
+// ring hand-over from exited threads,
 // Chrome trace_event export well-formedness, replay-mode trace byte
 // reproducibility across two fresh clusters, and the "tracing never
 // changes response bytes" contract (on, off, and absent).
@@ -10,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -274,6 +276,42 @@ TEST(TraceTest, PartlyFilledRingExportsWhatItHolds) {
   // Recorded 0 5 10 4 9 3 8 2 7 1 6; the first three are gone.
   EXPECT_EQ(extract_ts(json), (std::vector<long>{1, 2, 3, 4, 6, 7, 8, 9}));
   EXPECT_NE(json.find("\"dropped\":3,\"events\":8"), std::string::npos);
+}
+
+TEST(TraceTest, ExitedThreadsHandTheirRingToTheNextThread) {
+  // Eight short-lived threads, one after another (a worker restarted over
+  // and over): each takes over the ring its exited predecessor handed
+  // back, so every event exports under one lane and nothing is lost.
+  // A thread that never records parks after each worker: it takes over
+  // the exited worker's thread resources, so the next worker runs under a
+  // new std::thread::id, as a restarted worker on a busy host does.
+  TraceRecorder rec(/*ring_capacity=*/64);
+  rec.enable();
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::vector<std::thread> parked;
+  for (int t = 0; t < 8; ++t) {
+    std::thread worker([&rec, t] {
+      for (int i = 0; i < 3; ++i) rec.record(instant("tick", 10 * t + i));
+    });
+    worker.join();
+    parked.emplace_back([released] { released.wait(); });
+  }
+  release.set_value();
+  for (std::thread& thread : parked) thread.join();
+  EXPECT_EQ(rec.buffered(), 24u);
+  EXPECT_EQ(rec.dropped(), 0u);
+  const std::string json = rec.chrome_trace_json();
+  const std::vector<long> ts = extract_ts(json);
+  ASSERT_EQ(ts.size(), 24u);
+  EXPECT_TRUE(std::is_sorted(ts.begin(), ts.end()));
+  std::size_t lanes = 0;
+  for (std::size_t pos = json.find("\"tid\":"); pos != std::string::npos;
+       pos = json.find("\"tid\":", pos + 1)) {
+    EXPECT_EQ(json.compare(pos, 8, "\"tid\":1,"), 0) << json.substr(pos, 12);
+    ++lanes;
+  }
+  EXPECT_EQ(lanes, 24u);
 }
 
 // --- Cluster integration ----------------------------------------------------

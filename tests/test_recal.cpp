@@ -390,8 +390,7 @@ TEST(RecalFuzzTest, SubmittersRacingRefitsStayOnAdmittedEpochs) {
     SCOPED_TRACE("fuzz seed " + std::to_string(seed));
     const int shards = 1 + static_cast<int>(seed % 3);
     const int epochs = 2 + static_cast<int>(seed % 2);
-    ClusterConfig config = tiny_cluster_config(shards, 0);
-    config.batch_deadline_ms = 0.1;
+    const ClusterConfig config = tiny_cluster_config(shards, 0);
     const std::vector<std::vector<std::string>> reference =
         bytes_per_epoch(config, requests, epochs);
 

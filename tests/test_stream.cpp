@@ -1,7 +1,8 @@
 // Tests for the streaming admission pipeline: the ordered shard queue's
 // scheduling order (strict priority, EDF within a class, admission-order
-// tiebreak), blocking bounded admission, kick flushes, session lifecycle
-// (close flushes in-flight requests; submit-after-close throws), replay-
+// tiebreak), blocking bounded admission, work-conserving pops and re-drive
+// pushes, session lifecycle
+// (close answers in-flight requests; submit-after-close throws), replay-
 // mode byte-identity under concurrent producers, truncated and reordered
 // replay schedules (answered in-slot / rejected at load, never a hang), a
 // stream closing early under replay without parking its siblings,
@@ -83,126 +84,97 @@ TEST(OrderedQueueTest, PopsStrictPriorityThenEdfThenAdmissionOrder) {
   const std::int64_t none = std::numeric_limits<std::int64_t>::max();
   // Scrambled push order; the pop order must be the scheduling order:
   // priority class first, earliest deadline within it, admit_seq last.
-  ASSERT_TRUE(queue.try_push(keyed_item(3, none, 0)));
-  ASSERT_TRUE(queue.try_push(keyed_item(0, 900, 1)));
-  ASSERT_TRUE(queue.try_push(keyed_item(1, 50, 2)));
-  ASSERT_TRUE(queue.try_push(keyed_item(0, 100, 3)));
-  ASSERT_TRUE(queue.try_push(keyed_item(3, none, 4)));
-  ASSERT_TRUE(queue.try_push(keyed_item(1, 200, 5)));
-  ASSERT_TRUE(queue.try_push(keyed_item(0, none, 6)));
+  std::vector<StreamItem> run;
+  for (const StreamItem& item :
+       {keyed_item(3, none, 0), keyed_item(0, 900, 1), keyed_item(1, 50, 2),
+        keyed_item(0, 100, 3), keyed_item(3, none, 4), keyed_item(1, 200, 5),
+        keyed_item(0, none, 6)})
+    run.push_back(item);
+  ASSERT_EQ(queue.push_run(run.data(), run.size()), run.size());
 
   std::vector<StreamItem> batch;
-  const core::BatchFlush flush =
-      queue.pop_batch(7, std::chrono::nanoseconds(0), batch);
-  EXPECT_EQ(flush, core::BatchFlush::kSize);
+  ASSERT_TRUE(queue.pop_batch(7, batch));
   ASSERT_EQ(batch.size(), 7u);
   const std::uint64_t expected_seq[] = {3, 1, 6, 2, 5, 0, 4};
   for (std::size_t i = 0; i < batch.size(); ++i)
     EXPECT_EQ(batch[i].admit_seq, expected_seq[i]) << "position " << i;
 }
 
-TEST(OrderedQueueTest, KickFlushesPartialBatchWithoutDeadlineWait) {
-  core::OrderedBatchQueue<StreamItem, StreamBefore> queue(32);
-  ASSERT_TRUE(queue.try_push(keyed_item(1, 10, 0)));
-  ASSERT_TRUE(queue.try_push(keyed_item(1, 5, 1)));
-  queue.kick();
-  std::vector<StreamItem> batch;
-  const auto start = std::chrono::steady_clock::now();
-  // A 10-second coalescing deadline that the kick must preempt.
-  const core::BatchFlush flush =
-      queue.pop_batch(8, std::chrono::seconds(10), batch);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(flush, core::BatchFlush::kKicked);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].admit_seq, 1u);  // EDF within the partial batch
-  EXPECT_LT(std::chrono::duration<double>(elapsed).count(), 5.0);
-}
-
-TEST(OrderedQueueTest, BlockingPushWaitsForRoomAndFailsOnClose) {
-  core::OrderedBatchQueue<StreamItem, StreamBefore> queue(2);
-  ASSERT_TRUE(queue.try_push(keyed_item(1, 10, 0)));
-  ASSERT_TRUE(queue.try_push(keyed_item(1, 20, 1)));
-  EXPECT_FALSE(queue.try_push(keyed_item(1, 30, 2)));  // full
-
-  std::thread drainer([&queue] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    std::vector<StreamItem> batch;
-    queue.pop_batch(2, std::chrono::nanoseconds(0), batch);
-  });
-  // Blocks until the drainer makes room, then succeeds.
-  EXPECT_TRUE(queue.push(keyed_item(1, 30, 2)));
-  drainer.join();
-
-  queue.close();
-  EXPECT_FALSE(queue.push(keyed_item(1, 40, 3)));  // closed: refused, loudly
-}
-
-// The flush contract on plain ints: std::less serves the smallest first,
-// so ascending pushes pop in push order.
+// The drain contract on plain ints: std::less serves the smallest first.
 using IntQueue = core::OrderedBatchQueue<int, std::less<int>>;
 
-TEST(OrderedQueueTest, SizeFlushAtBatchSize) {
+TEST(OrderedQueueTest, PartialBatchPopsAtOnce) {
+  // Work-conserving: a batch that will never fill is popped without any
+  // wait, and a full one stops at the batch size.
   IntQueue q(16);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.try_push(std::move(i)));
-  std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(4, std::chrono::seconds(10), batch), core::BatchFlush::kSize);
-  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(q.depth(), 4u);
-  EXPECT_EQ(q.max_depth(), 8u);
-}
-
-TEST(OrderedQueueTest, DeadlineFlushesPartialBatch) {
-  IntQueue q(16);
-  int v = 7;
-  EXPECT_TRUE(q.try_push(std::move(v)));
+  int run[] = {5, 3, 4};
+  ASSERT_EQ(q.push_run(run, 3), 3u);
   std::vector<int> batch;
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(q.pop_batch(8, std::chrono::milliseconds(20), batch),
-            core::BatchFlush::kDeadline);
-  const auto waited = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(batch, std::vector<int>{7});
-  EXPECT_GE(waited, std::chrono::milliseconds(15));  // really waited the deadline out
+  ASSERT_TRUE(q.pop_batch(8, batch));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(batch, (std::vector<int>{3, 4, 5}));
+
+  int more[] = {7, 6, 9, 8, 1};
+  ASSERT_EQ(q.push_run(more, 5), 5u);
+  ASSERT_TRUE(q.pop_batch(2, batch));
+  EXPECT_EQ(batch, (std::vector<int>{1, 6}));
+  EXPECT_EQ(q.depth(), 3u);
+  EXPECT_EQ(q.max_depth(), 5u);
 }
 
-TEST(OrderedQueueTest, CloseDrainsThenSignalsEmpty) {
-  IntQueue q(16);
-  int a = 1, b = 2;
-  EXPECT_TRUE(q.try_push(std::move(a)));
-  EXPECT_TRUE(q.try_push(std::move(b)));
-  q.close();
-  int c = 3;
-  EXPECT_FALSE(q.try_push(std::move(c)));  // closed: no more admissions
-  std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(8, std::chrono::seconds(10), batch), core::BatchFlush::kClosed);
-  EXPECT_EQ(batch.size(), 2u);
-  EXPECT_EQ(q.pop_batch(8, std::chrono::seconds(10), batch), core::BatchFlush::kEmpty);
-  EXPECT_TRUE(batch.empty());
-}
-
-TEST(OrderedQueueTest, TryPushRejectsWhenFull) {
-  IntQueue q(2);
-  int a = 1, b = 2, c = 3;
-  EXPECT_TRUE(q.try_push(std::move(a)));
-  EXPECT_TRUE(q.try_push(std::move(b)));
-  EXPECT_FALSE(q.try_push(std::move(c)));  // full; c stays with the caller
-  std::vector<int> batch;
-  q.pop_batch(1, std::chrono::seconds(10), batch);
-  EXPECT_TRUE(q.try_push(std::move(c)));  // room again
-}
-
-TEST(OrderedQueueTest, PushWakesABlockedConsumer) {
+TEST(OrderedQueueTest, PushWakesAParkedConsumer) {
   IntQueue q(4);
   std::vector<int> batch;
   std::thread producer([&q] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    q.push(42);
+    int item = 42;
+    q.push_run(&item, 1);
   });
-  // Blocks on the empty open queue until the producer's push arrives; the
-  // deadline clock starts at first availability, so this returns promptly.
-  EXPECT_EQ(q.pop_batch(8, std::chrono::milliseconds(1), batch),
-            core::BatchFlush::kDeadline);
+  // Parks on the empty open queue until the producer's push arrives.
+  ASSERT_TRUE(q.pop_batch(8, batch));
   EXPECT_EQ(batch, std::vector<int>{42});
   producer.join();
+}
+
+TEST(OrderedQueueTest, RedrivePushIgnoresTheBoundAndFailsOnlyOnClose) {
+  IntQueue q(2);
+  int run[] = {1, 2};
+  ASSERT_EQ(q.push_run(run, 2), 2u);
+  // Full, yet a re-drive goes in without blocking: a consumer handing back
+  // a popped item must never wait on the queue it drains.
+  int c = 3;
+  EXPECT_TRUE(q.push_redrive(std::move(c)));
+  EXPECT_EQ(q.depth(), 3u);
+  q.close();
+  int d = 4;
+  EXPECT_FALSE(q.push_redrive(std::move(d)));  // closed: refused, d untouched
+  EXPECT_EQ(d, 4);
+  // What was queued before the close still drains, then the stop signal.
+  std::vector<int> batch;
+  ASSERT_TRUE(q.pop_batch(8, batch));
+  EXPECT_EQ(batch, (std::vector<int>{1, 2, 3}));
+  EXPECT_FALSE(q.pop_batch(8, batch));
+  EXPECT_TRUE(batch.empty());
+}
+
+TEST(OrderedQueueTest, BlockingPushWaitsForRoomAndFailsOnClose) {
+  IntQueue q(2);
+  int run[] = {1, 2};
+  ASSERT_EQ(q.push_run(run, 2), 2u);
+  std::thread drainer([&q] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::vector<int> batch;
+    q.pop_batch(2, batch);
+  });
+  // Blocks until the drainer makes room, then succeeds.
+  int item = 3;
+  EXPECT_EQ(q.push_run(&item, 1), 1u);
+  drainer.join();
+
+  q.close();
+  item = 4;
+  EXPECT_EQ(q.push_run(&item, 1), 0u);  // closed: refused, loudly
 }
 
 // --- Admission schedules ----------------------------------------------------
@@ -648,11 +620,10 @@ TEST_F(StreamFixture, ShedUnderReplayedOverloadIsDeterministicAndBounded) {
 }
 
 TEST_F(StreamFixture, CloseFlushesInFlightTailPromptly) {
-  // A long coalescing deadline and a batch size the tail never reaches:
-  // only close()'s kick can flush these five requests promptly.
+  // A batch size the tail never reaches: the shard drain must take these
+  // five requests as a partial batch at once, not wait for more.
   ClusterConfig config = stream_config(1, 0);
   config.batch_size = 64;
-  config.batch_deadline_ms = 2000.0;
   ServingCluster cluster(std::move(config), primary_);
 
   StreamSession session = cluster.open_stream();
@@ -665,8 +636,10 @@ TEST_F(StreamFixture, CloseFlushesInFlightTailPromptly) {
 
   ASSERT_EQ(responses.size(), requests.size());
   for (const AdvisorResponse& r : responses) EXPECT_TRUE(r.ok()) << r.error;
-  EXPECT_LT(elapsed, 1.0);  // the 2s coalescing deadline never fired
-  EXPECT_GE(cluster.metrics().kick_flushes, 1);
+  EXPECT_LT(elapsed, 1.0);
+  const ClusterMetrics m = cluster.metrics();
+  EXPECT_EQ(m.shard_queries, std::vector<long>{5});
+  EXPECT_GE(m.batches, 1);
 }
 
 TEST_F(StreamFixture, SessionLifecycleEdges) {
@@ -885,7 +858,6 @@ TEST_F(StreamFixture, FuzzedInterleavingsDeliverEveryResponse) {
     SCOPED_TRACE("fuzz seed " + std::to_string(seed));
     ClusterConfig config = stream_config(2, 32);
     config.queue_capacity = 16;
-    config.batch_deadline_ms = 0.1;
     ServingCluster cluster(std::move(config), primary_);
 
     std::atomic<long> submitted{0};
