@@ -54,12 +54,14 @@ namespace {
 // hop costs more than the evaluation it spreads (ROADMAP, "Cold serving
 // that beats serial"), so the floor is not lowered.
 constexpr double kMatchFloor = 0.85;
-// Chaos vs fault-free. At kFaultRate nearly every batch crashes, so the
-// chaos side is dominated by crash-detection latency (~190 restarts x the
-// 100 us watchdog poll against a ~1 ms fault-free run): the ratio sits
-// near 0.02x as a property of the knobs. The floor guards an order-of-
-// magnitude collapse below that: a watchdog that stops noticing crashes or
-// a retry path gone thrashing.
+// Chaos vs fault-free. At kFaultRate 164 worker crashes each abandon a
+// batch of up to 8, and with the injected throws that makes ~1,300-1,400
+// re-drives per run. Each re-drive sleeps its backoff (5 us doubling to
+// 50 us) on the failing worker's thread, so the chaos side is mostly
+// sleeps: ~17 ms against ~0.35 ms fault-free on a 4-vCPU KVM guest, and
+// the ratio read 0.027-0.029 at ISR_BENCH_SCALE=0.1 as a property of the
+// knobs. The floor guards an order-of-magnitude collapse below that: a
+// crash no longer recovered in place, or a retry path gone thrashing.
 constexpr double kChaosFloor = 0.004;
 // Tracing wired but disabled vs absent: a handful of relaxed loads per
 // request, far below timer resolution; a probe that takes a lock or
@@ -70,9 +72,10 @@ constexpr double kOffFloor = 0.95;
 // all fail ~2% of the time: recovery runs on nearly every batch.
 constexpr std::uint64_t kFaultSeed = 20160;
 constexpr double kFaultRate = 0.15;
-// The chaos leg serves the grid's first kChaosQueries (four of its twenty repetitions):
-// every crash costs a watchdog poll, so the full grid would spend the leg's
-// budget on one pair.
+// The chaos leg serves the grid's first kChaosQueries (four of its twenty
+// repetitions): its run is mostly backoff sleeps, which the full grid
+// would stretch five-fold, buying fewer pairs in the leg's budget for no
+// new coverage.
 constexpr std::size_t kChaosQueries = 768;
 
 model::StudyConfig calibration() {
@@ -140,9 +143,9 @@ void run_streams(cluster::ServingCluster& serving,
   for (cluster::StreamSession& session : sessions) session.close();
 }
 
-// Opens and closes one empty session, so the cluster's shard, watchdog
-// and refit threads are running before a timed region starts: thread
-// start-up is not the serving path a leg compares.
+// Opens and closes one empty session, so the cluster's shard and refit
+// threads are running before a timed region starts: thread start-up is
+// not the serving path a leg compares.
 void start_serving(cluster::ServingCluster& serving) { serving.open_stream().close(); }
 
 struct Leg {
@@ -249,7 +252,6 @@ int main() {
         cfg.fault.rate = kFaultRate;
         cfg.fault.sites = 1u << static_cast<int>(core::FaultSite::kShardEvalThrow);
         cfg.fault.sites |= 1u << static_cast<int>(core::FaultSite::kWorkerCrash);
-        cfg.watchdog_poll_us = 100;
         cfg.retry_backoff_us = 5;
         cfg.retry_backoff_max_us = 50;
       }

@@ -68,10 +68,6 @@ serve::AdvisorResponse degraded_response(const std::string& why) {
   return r;
 }
 
-// Consecutive clean watchdog polls before a degraded shard is promoted
-// back to healthy.
-constexpr int kHealthRecoveryPolls = 4;
-
 // Where one request of an admitted run stands: answered in place (unknown
 // corpus, failed fit, cache hit — its response is already collected), shed
 // by the deadline check, or queued on `shard`. `corpus` is the resolved
@@ -79,7 +75,6 @@ constexpr int kHealthRecoveryPolls = 4;
 struct RunEntry {
   enum State : unsigned char { kAnswered, kResolved, kShed, kQueued };
   State state = kAnswered;
-  bool routed_around_down = false;
   int corpus = -1;
   std::size_t shard = 0;
   double start_us = 0.0;
@@ -165,11 +160,6 @@ ServingCluster::ServingCluster(ClusterConfig config,
   if (config_.retry_backoff_us < 0) config_.retry_backoff_us = 0;
   if (config_.retry_backoff_max_us < config_.retry_backoff_us)
     config_.retry_backoff_max_us = config_.retry_backoff_us;
-  if (config_.watchdog_poll_us <= 0) config_.watchdog_poll_us = 1000;
-  // make_unique value-initializes: every shard starts kHealthy (0), with a
-  // zero suspect counter.
-  health_ = std::make_unique<std::atomic<int>[]>(static_cast<std::size_t>(n_shards));
-  suspect_ = std::make_unique<std::atomic<long>[]>(static_cast<std::size_t>(n_shards));
 }
 
 ServingCluster::~ServingCluster() {
@@ -183,12 +173,7 @@ ServingCluster::~ServingCluster() {
   }
   refit_cv_.notify_all();
   if (refit_worker_.joinable()) refit_worker_.join();
-  // Watchdog next: a restart racing shard teardown must not happen. By
-  // contract every session is closed before destruction, so no in-flight
-  // work depends on the watchdog anymore.
-  watchdog_stop_.store(true, std::memory_order_release);
-  if (watchdog_.joinable()) watchdog_.join();
-  // stop() closes each queue and joins its worker — a crashed one included.
+  // stop() closes each queue and joins its worker.
   for (const auto& shard : shards_) shard->stop();
 }
 
@@ -214,8 +199,8 @@ void ServingCluster::ensure_serving() {
   // query naming each corpus (ensure_corpus_resident). Workers can start
   // immediately — every admitted item carries its own pinned bundle, so a
   // worker never needs model state the admission path did not resolve.
-  // Each shard owns its supervised worker; transient failures flow back
-  // through redeliver(), and the watchdog handles crashes and stalls.
+  // Each shard owns its worker; transient failures and crash-abandoned
+  // batches flow back through redeliver() on that worker's thread.
   ResponseCache* cache = cache_->enabled() ? cache_.get() : nullptr;
   core::FaultInjector* faults = faults_.armed() ? &faults_ : nullptr;
   for (const auto& shard : shards_)
@@ -225,8 +210,6 @@ void ServingCluster::ensure_serving() {
           redeliver(std::move(items), from);
         },
         config_.trace);
-  watchdog_stop_.store(false, std::memory_order_release);
-  watchdog_ = std::thread([this] { watchdog_loop(); });
   refit_stop_ = false;
   refit_worker_ = std::thread([this] { refit_loop(); });
   serving_ = true;
@@ -478,22 +461,8 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
     if (!lock.owns_lock()) lock.lock();
     const serve::AdvisorRequest& request = run[i];
     const CorpusState& corpus = *corpora_[static_cast<std::size_t>(entry.corpus)];
-    std::size_t shard_idx =
+    const auto shard_idx =
         static_cast<std::size_t>(router_.route(corpus.corpus_key, request.arch));
-    // Failover routing: a shard whose worker is down (crash detected, not
-    // yet restarted) is skipped in favor of the first live shard in the
-    // key's deterministic rendezvous order. Placement never changes bytes;
-    // this only keeps fresh admissions off a queue nobody is draining.
-    if (health(shard_idx) == ShardHealth::kDown) {
-      for (const int sh : router_.rendezvous_order(corpus.corpus_key, request.arch)) {
-        if (health(static_cast<std::size_t>(sh)) != ShardHealth::kDown) {
-          shard_idx = static_cast<std::size_t>(sh);
-          failovers_.fetch_add(1, std::memory_order_relaxed);
-          entry.routed_around_down = true;
-          break;
-        }
-      }
-    }
     // Deadline-aware admission control, the Horvitz & Lengyel budget
     // framing applied to queueing: each shard's backlog_end is the virtual
     // time its queue drains at; if this request would complete past its
@@ -546,8 +515,6 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
       continue;
     }
     if (entry.state != RunEntry::kQueued) continue;
-    if (tracing && !virt && entry.routed_around_down)
-      tr->record(event("failover", "admission", tr->now_us(), slot));
     if (virt) {
       // (c) The admitted request's remaining virtual chain: it waits in the
       // queue until the shard's virtual backlog reaches it, evaluates for
@@ -621,9 +588,6 @@ void ServingCluster::skip_closed_replay_records() {
 
 void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) {
   if (items.empty()) return;
-  // Note the failure burst against the source shard; the watchdog turns it
-  // into a degraded health mark on its next poll.
-  suspect_[static_cast<std::size_t>(from_shard)].fetch_add(1, std::memory_order_relaxed);
   const bool replaying = replaying_.load(std::memory_order_relaxed);
   // Retry/failover annotations are live-trace only: under a virtual clock
   // the admission path already emitted each request's deterministic chain,
@@ -678,19 +642,19 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
     }
     retries_.fetch_add(1, std::memory_order_relaxed);
     if (tracing) trace_instant(item, "retry", nullptr);
-    // Re-drive target: the first live shard other than the one that failed
-    // the item, walking the key's deterministic rendezvous order — the
-    // same permutation hot-key splitting uses, so a key's retry placement
-    // is as stable as its routing — or, with no live sibling, the failing
-    // shard's own queue. Its drain takes the item's next fault decision
-    // like any other: the decision is a pure function of (stream, seq,
-    // attempt), so WHO re-tries an item never changes the bytes.
+    // Re-drive target: the first shard other than the one that failed the
+    // item, walking the key's deterministic rendezvous order — the same
+    // permutation hot-key splitting uses, so a key's retry placement is as
+    // stable as its routing — or, with no sibling, the failing shard's own
+    // queue. Its drain takes the item's next fault decision like any other:
+    // the decision is a pure function of (stream, seq, attempt), so WHO
+    // re-tries an item never changes the bytes.
     int target = from_shard;
     for (const int s : router_.rendezvous_order(item.corpus_key, item.request.arch)) {
-      if (s == from_shard) continue;
-      if (health(static_cast<std::size_t>(s)) == ShardHealth::kDown) continue;
-      target = s;
-      break;
+      if (s != from_shard) {
+        target = s;
+        break;
+      }
     }
     // Counted and traced before the handoff: once the target queue holds
     // the item it may deliver at any moment, and neither a client reading
@@ -709,62 +673,6 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
     // Only shutdown refuses a re-drive, leaving the item untouched.
     if (!shards_[static_cast<std::size_t>(target)]->redrive(std::move(item)))
       degrade(item, "degraded", "cluster shut down before evaluation");
-  }
-}
-
-void ServingCluster::watchdog_loop() {
-  const std::size_t n = shards_.size();
-  // Watchdog-local history: last observed heartbeat/suspect count and the
-  // consecutive-clean-poll streak per shard. No other thread needs them.
-  std::vector<std::uint64_t> last_beat(n, 0);
-  std::vector<long> last_suspect(n, 0);
-  std::vector<int> clean(n, 0);
-  while (!watchdog_stop_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(config_.watchdog_poll_us));
-    for (std::size_t s = 0; s < n; ++s) {
-      Shard& shard = *shards_[s];
-      if (shard.worker_down()) {
-        // Crash: down while nobody drains the queue (admission routes
-        // around), reclaim the corpse, restart, re-drive the batch it
-        // held. The shard resumes degraded and earns healthy back through
-        // clean polls.
-        health_[s].store(static_cast<int>(ShardHealth::kDown),
-                         std::memory_order_relaxed);
-        worker_restarts_.fetch_add(1, std::memory_order_relaxed);
-        std::vector<StreamItem> held = shard.take_inflight();
-        shard.restart();
-        health_[s].store(static_cast<int>(ShardHealth::kDegraded),
-                         std::memory_order_relaxed);
-        clean[s] = 0;
-        last_beat[s] = shard.heartbeat();
-        last_suspect[s] = suspect_[s].load(std::memory_order_relaxed);
-        if (!held.empty()) redeliver(std::move(held), static_cast<int>(s));
-        continue;
-      }
-      const std::uint64_t beat = shard.heartbeat();
-      const bool advanced = beat != last_beat[s];
-      last_beat[s] = beat;
-      const long suspect = suspect_[s].load(std::memory_order_relaxed);
-      const bool newly_suspect = suspect != last_suspect[s];
-      last_suspect[s] = suspect;
-      // Stalled = heartbeat frozen WITH work pending; an idle worker parked
-      // on an empty queue legitimately stops beating.
-      const bool stalled =
-          !advanced && (shard.queue_depth() > 0 || shard.has_inflight());
-      const int current = health_[s].load(std::memory_order_relaxed);
-      if (stalled || newly_suspect) {
-        if (current == static_cast<int>(ShardHealth::kHealthy))
-          health_[s].store(static_cast<int>(ShardHealth::kDegraded),
-                           std::memory_order_relaxed);
-        clean[s] = 0;
-      } else if (current == static_cast<int>(ShardHealth::kDegraded)) {
-        if (++clean[s] >= kHealthRecoveryPolls) {
-          health_[s].store(static_cast<int>(ShardHealth::kHealthy),
-                           std::memory_order_relaxed);
-          clean[s] = 0;
-        }
-      }
-    }
   }
 }
 
@@ -968,18 +876,15 @@ ClusterMetrics ServingCluster::metrics() const {
     m.shard_queries.push_back(s.queries);
     m.batches += s.batches;
     m.eval_exceptions += s.eval_exceptions;
+    m.worker_restarts += s.worker_restarts;
     if (shard->max_queue_depth() > m.max_queue_depth)
       m.max_queue_depth = shard->max_queue_depth();
   }
-  m.worker_restarts = worker_restarts_.load(std::memory_order_relaxed);
   m.failovers = failovers_.load(std::memory_order_relaxed);
   m.retries = retries_.load(std::memory_order_relaxed);
   m.timeouts = timeouts_.load(std::memory_order_relaxed);
   m.degraded_queries = degraded_queries_.load(std::memory_order_relaxed);
   m.faults_injected = faults_.total_fired();
-  m.shard_health.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s)
-    m.shard_health.emplace_back(shard_health_name(health(s)));
   m.rebalanced_queries = router_.rebalanced();
   m.cache_lookups = cache_->lookups();
   m.cache_hits = cache_->hits();

@@ -68,19 +68,20 @@
 // remain byte-identical at any shard/thread/cache configuration;
 // wait_refits() is the barrier that fixes the schedule.
 //
-// Fault tolerance (PR 7): shard workers are supervised — evaluation
-// exceptions become in-slot error responses, a heartbeat watchdog restarts
-// crashed workers and re-drives the batch they held, and transient
-// failures retry with bounded exponential backoff through the queue of the
-// next live shard in the key's rendezvous order (the failing shard's own
-// queue when it has no live sibling — the shard drain is the one place a
-// queued request is evaluated), degrading explicitly ("degraded":true on the wire) once the retry budget
-// or the request deadline is spent. Every fault is deterministic: the
-// core::FaultInjector keys each decision on (stream id, per-stream seq,
-// attempt), so a fixed ISR_FAULT_SEED reproduces the same failures — and
-// the same degraded bytes under --replay — at any thread count, while a
-// disarmed injector (the default) leaves every fault branch dead and the
-// byte-identity contract above untouched.
+// Fault tolerance (PR 7): evaluation exceptions become in-slot error
+// responses; a (simulated) worker crash abandons its batch and the same
+// worker loop carries on; and transient failures and abandoned batches
+// retry with bounded exponential backoff through the queue of the first
+// sibling in the key's rendezvous order (the failing shard's own queue
+// when it has no sibling — the shard drain is the one place a queued
+// request is evaluated), degrading explicitly ("degraded":true on the
+// wire) once the retry budget or the request deadline is spent. Every
+// fault is deterministic: the core::FaultInjector keys each decision on
+// (stream id, per-stream seq, attempt), so a fixed ISR_FAULT_SEED
+// reproduces the same failures — and the same degraded bytes under
+// --replay — at any thread count, while a disarmed injector (the default)
+// leaves every fault branch dead and the byte-identity contract above
+// untouched.
 //
 // Locking, in admission order. Each lock is taken once per admitted run
 // (once per probed request, for the cache's ways), and no path holds two
@@ -206,11 +207,6 @@ struct ClusterConfig {
   // min(retry_backoff_us << (k-1), retry_backoff_max_us) microseconds.
   long retry_backoff_us = 50;
   long retry_backoff_max_us = 2000;
-  // Heartbeat watchdog poll period. Each poll checks every shard for a
-  // crashed worker (restart + re-drive) or a stalled one (stale heartbeat
-  // with work pending -> degraded); four consecutive clean polls promote a
-  // degraded shard back to healthy.
-  long watchdog_poll_us = 1000;
 };
 
 class ServingCluster {
@@ -229,10 +225,9 @@ class ServingCluster {
 
   // Opens a long-lived submission handle. Stream ids are assigned in open
   // order (the replay matching key), and the first open starts the shard
-  // workers, the watchdog, and the refit worker. Corpora are NOT fitted
-  // here: residency is lazy, paid by the first query naming each corpus.
-  // Thread-safe: any number of sessions may be open and submitting
-  // concurrently.
+  // workers and the refit worker. Corpora are NOT fitted here: residency
+  // is lazy, paid by the first query naming each corpus. Thread-safe: any
+  // number of sessions may be open and submitting concurrently.
   StreamSession open_stream();
 
   // Batch convenience: opens a session, submits every request in order,
@@ -355,9 +350,9 @@ class ServingCluster {
     bool drift = false;
   };
 
-  // Starts the shard workers, the heartbeat watchdog, and the refit
-  // worker. Lazy (first open_stream) so constructing a cluster stays
-  // cheap; corpora are fitted even later, on first query.
+  // Starts the shard workers and the refit worker. Lazy (first
+  // open_stream) so constructing a cluster stays cheap; corpora are fitted
+  // even later, on first query.
   void ensure_serving();
 
   // Lazy residency: returns true when the corpus at `idx` holds a bundle,
@@ -414,25 +409,15 @@ class ServingCluster {
   // Index into corpora_ for a request's selector, or -1 when unknown.
   int resolve_corpus(const std::string& name) const;
 
-  // The failover/retry path (shard FailureHandler + watchdog re-drive):
-  // each item either re-drives, after a bounded exponential backoff, into
-  // the queue of the next live shard in its key's rendezvous order (a
-  // failover) or, with no live sibling, back into `from_shard`'s queue —
-  // or, once its retry budget is spent, its deadline passed, or the
-  // cluster shut down, receives an explicit degraded response. Never
-  // blocks on a queue, so it is deadlock-free from worker and watchdog
-  // context alike.
+  // The failover/retry path (the shards' FailureHandler, called on their
+  // worker threads): each item either re-drives, after a bounded
+  // exponential backoff, into the queue of the first sibling in its key's
+  // rendezvous order (a failover) or, with no sibling, back into
+  // `from_shard`'s queue — or, once its retry budget is spent, its
+  // deadline passed, or the cluster shut down, receives an explicit
+  // degraded response. Never blocks on a queue, so a worker re-driving
+  // into a full sibling queue cannot deadlock against it.
   void redeliver(std::vector<StreamItem>&& items, int from_shard);
-
-  // The heartbeat watchdog: polls every shard each watchdog_poll_us,
-  // restarts crashed workers (re-driving the batch they held), marks
-  // stalled or failing shards degraded, and promotes them back to healthy
-  // after kHealthRecoveryPolls clean polls. The only writer of health_.
-  void watchdog_loop();
-
-  ShardHealth health(std::size_t shard) const {
-    return static_cast<ShardHealth>(health_[shard].load(std::memory_order_relaxed));
-  }
 
   ClusterConfig config_;
   // [0] is the default corpus. unique_ptr entries: CorpusState holds an
@@ -463,18 +448,8 @@ class ServingCluster {
   std::atomic<long> lazy_fits_{0};
   std::atomic<long> epoch_invalidations_{0};
 
-  // Fault-tolerance state. health_ is written by the watchdog only and
-  // read (relaxed) by admission/failover — a stale read routes to a shard
-  // about to be marked down, which the retry path then absorbs; bytes are
-  // placement-independent either way. suspect_ counts transient failures
-  // per shard (bumped by redeliver) so the watchdog notices failure bursts
-  // between polls.
+  // Fault-tolerance state (crash recoveries are counted per shard).
   core::FaultInjector faults_;
-  std::thread watchdog_;
-  std::atomic<bool> watchdog_stop_{false};
-  std::unique_ptr<std::atomic<int>[]> health_;   // ShardHealth per shard
-  std::unique_ptr<std::atomic<long>[]> suspect_; // transient failures per shard
-  std::atomic<long> worker_restarts_{0};
   std::atomic<long> failovers_{0};
   std::atomic<long> retries_{0};
   std::atomic<long> timeouts_{0};

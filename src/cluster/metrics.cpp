@@ -45,15 +45,6 @@ std::string ClusterMetrics::to_jsonl() const {
   }
   epoch_map += "}";
 
-  // Per-shard health as a JSON string array, shard order.
-  std::string health_list = "[";
-  for (std::size_t s = 0; s < shard_health.size(); ++s) {
-    health_list += s == 0 ? "\"" : ",\"";
-    health_list += serve::json_escape(shard_health[s]);
-    health_list += "\"";
-  }
-  health_list += "]";
-
   const char* fmt =
       "{\"shards\":%d,\"queries\":%ld,\"shard_queries\":%s,"
       "\"corpus_queries\":%s,\"unknown_corpus_queries\":%ld,"
@@ -64,8 +55,7 @@ std::string ClusterMetrics::to_jsonl() const {
       "\"cache_lookups\":%ld,\"cache_hits\":%ld,\"cache_hit_rate\":%.6f,"
       "\"worker_restarts\":%ld,\"failovers\":%ld,\"retries\":%ld,"
       "\"timeouts\":%ld,\"degraded_queries\":%ld,\"eval_exceptions\":%ld,"
-      "\"faults_injected\":%ld,\"shard_health\":%s,"
-      "\"batches\":%ld,\"max_queue_depth\":%zu,"
+      "\"faults_injected\":%ld,\"batches\":%ld,\"max_queue_depth\":%zu,"
       "\"queue_wait_us\":%s,\"service_us\":%s,\"e2e_us\":%s,"
       "\"p50_latency_ms\":%.6f,\"p99_latency_ms\":%.6f}";
   const std::string queue_wait_json = queue_wait.to_json();
@@ -77,18 +67,18 @@ std::string ClusterMetrics::to_jsonl() const {
       unknown_corpus_queries, epoch_map.c_str(), refits, lazy_fits,
       epoch_invalidations, streams, shed_queries, rebalanced_queries, hot_keys,
       cache_lookups, cache_hits, cache_hit_rate, worker_restarts, failovers, retries,
-      timeouts, degraded_queries, eval_exceptions, faults_injected,
-      health_list.c_str(), batches, max_queue_depth, queue_wait_json.c_str(),
-      service_json.c_str(), e2e_json.c_str(), p50_latency_ms, p99_latency_ms);
+      timeouts, degraded_queries, eval_exceptions, faults_injected, batches,
+      max_queue_depth, queue_wait_json.c_str(), service_json.c_str(), e2e_json.c_str(),
+      p50_latency_ms, p99_latency_ms);
   std::string line(static_cast<std::size_t>(len > 0 ? len : 0), '\0');
   std::snprintf(&line[0], line.size() + 1, fmt, shards, queries, shard_list.c_str(),
                 corpus_map.c_str(), unknown_corpus_queries, epoch_map.c_str(), refits,
                 lazy_fits, epoch_invalidations, streams, shed_queries,
                 rebalanced_queries, hot_keys, cache_lookups, cache_hits, cache_hit_rate,
                 worker_restarts, failovers, retries, timeouts, degraded_queries,
-                eval_exceptions, faults_injected, health_list.c_str(), batches,
-                max_queue_depth, queue_wait_json.c_str(), service_json.c_str(),
-                e2e_json.c_str(), p50_latency_ms, p99_latency_ms);
+                eval_exceptions, faults_injected, batches, max_queue_depth,
+                queue_wait_json.c_str(), service_json.c_str(), e2e_json.c_str(),
+                p50_latency_ms, p99_latency_ms);
   return line;
 }
 

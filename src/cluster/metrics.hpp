@@ -53,15 +53,14 @@ struct ClusterMetrics {
   long cache_hits = 0;
   double cache_hit_rate = 0.0;  // hits / lookups; 0 when the cache is off
 
-  // Fault tolerance: crashed workers restarted by the watchdog, requests
-  // rerouted off a failed/down shard, re-drives after transient failures,
-  // re-drives abandoned because the request deadline had passed, and
-  // explicit degraded responses delivered ("degraded":true on the wire —
-  // retry budget spent, timeout, failed corpus fit, or shutdown race).
-  // eval_exceptions counts evaluations that threw and were answered with
-  // an in-slot error; faults_injected is the injector's firing total (0
-  // whenever ISR_FAULT_SEED is unset). shard_health snapshots each shard's
-  // state, "healthy" / "degraded" / "down", in shard order.
+  // Fault tolerance: injected worker crashes recovered (each abandons its
+  // batch to the retry path), re-drives that went to a sibling shard,
+  // re-drives after transient failures, re-drives abandoned because the
+  // request deadline had passed, and explicit degraded responses delivered
+  // ("degraded":true on the wire — retry budget spent, timeout, failed
+  // corpus fit, or shutdown race). eval_exceptions counts evaluations that
+  // threw and were answered with an in-slot error; faults_injected is the
+  // injector's firing total (0 whenever ISR_FAULT_SEED is unset).
   long worker_restarts = 0;
   long failovers = 0;
   long retries = 0;
@@ -69,7 +68,6 @@ struct ClusterMetrics {
   long degraded_queries = 0;
   long eval_exceptions = 0;
   long faults_injected = 0;
-  std::vector<std::string> shard_health;
 
   long batches = 0;  // batches drained across all shards
   // Always 0, and not on the metrics line: the shard queues drain whatever

@@ -79,10 +79,9 @@ class Router {
 
   // The key's deterministic rendezvous permutation of ALL shards — entry 0
   // is the preferred sub-shard a hot key splits onto first, and the order
-  // failover walks when a shard is down or a request is re-driven after a
-  // transient failure. A pure function of (key, shard count): stable
-  // across runs and safe to call from any thread (it touches no load
-  // state, unlike route()).
+  // failover walks for a sibling when a failed attempt is re-driven. A
+  // pure function of (key, shard count): stable across runs and safe to
+  // call from any thread (it touches no load state, unlike route()).
   std::vector<int> rendezvous_order(std::uint64_t corpus_fingerprint,
                                     const std::string& arch) const;
 

@@ -6,15 +6,6 @@
 
 namespace isr::cluster {
 
-const char* shard_health_name(ShardHealth health) {
-  switch (health) {
-    case ShardHealth::kHealthy: return "healthy";
-    case ShardHealth::kDegraded: return "degraded";
-    case ShardHealth::kDown: return "down";
-  }
-  return "?";
-}
-
 namespace {
 
 // The per-item fault decision: worker crash first, then eval throw. A pure
@@ -49,7 +40,6 @@ void Shard::start(ResponseCache* cache, core::FaultInjector* faults,
   faults_ = faults && faults->armed() ? faults : nullptr;
   on_failed_ = std::move(on_failed);
   trace_ = trace;
-  crashed_.store(false, std::memory_order_release);
   worker_ = std::thread([this] { worker_loop(); });
 }
 
@@ -61,22 +51,12 @@ void Shard::stop() {
 void Shard::worker_loop() {
   std::vector<StreamItem> failed;
   for (;;) {
-    heartbeat_.fetch_add(1, std::memory_order_relaxed);
-    failed.clear();
-    const DrainStatus status = drain_one_batch(failed);
-    if (status == DrainStatus::kCrashed) {
-      // The batch (failed items included) is parked in the in-flight
-      // ledger; the watchdog re-drives ALL of it, so dispatching `failed`
-      // here would double-deliver. The release store publishes the bumped
-      // attempt the watchdog's take_inflight() must see.
-      crashed_.store(true, std::memory_order_release);
-      return;
-    }
+    const bool more = drain_one_batch(failed);
     if (!failed.empty()) {
       on_failed_(std::move(failed), index_);
       failed.clear();  // restore a known state after the move
     }
-    if (status == DrainStatus::kStop) return;
+    if (!more) return;
   }
 }
 
@@ -168,9 +148,9 @@ void Shard::evaluate_batch(std::vector<StreamItem>& batch,
   }
 }
 
-Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
+bool Shard::drain_one_batch(std::vector<StreamItem>& failed) {
   std::vector<StreamItem>& batch = batch_scratch_;
-  if (!queue_.pop_batch(batch_size_, batch)) return DrainStatus::kStop;
+  if (!queue_.pop_batch(batch_size_, batch)) return false;
   // Queue wait ends here: the pop timestamp closes every item's
   // enqueue->pop interval (fault stalls below count as service, not wait).
   const auto pop_now = std::chrono::steady_clock::now();
@@ -179,41 +159,43 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
   const bool tracing = trace_ && trace_->enabled() && !trace_->virtual_clock();
 
   // Fault hooks, all injector-gated: with no armed injector a crash, stall,
-  // or transient failure is structurally impossible, so the ledger copy
-  // and the per-item decisions are skipped entirely.
+  // or transient failure is structurally impossible, so the per-item
+  // decisions are skipped entirely.
   if (faults_) {
-    // Park the whole batch in the in-flight ledger BEFORE evaluating any of
-    // it: from here until the ledger is cleared after delivery, a crash can
-    // lose nothing — the watchdog re-drives exactly what was held.
-    {
-      std::lock_guard<std::mutex> lock(inflight_mutex_);
-      inflight_ = batch;
-    }
     // Injected stall, keyed on the batch head's identity: the worker sleeps
-    // mid-drain with work parked, the heartbeat goes stale, and the watchdog
-    // marks the shard degraded. Every item still evaluates to its normal
-    // bytes afterwards.
+    // mid-drain, and every item still evaluates to its normal bytes
+    // afterwards — a pure latency fault.
     const StreamItem& head = batch.front();
     if (faults_->should_fire(core::FaultSite::kQueueStall, head.session->id(), head.slot,
                              static_cast<std::uint64_t>(head.attempt)))
       std::this_thread::sleep_for(std::chrono::milliseconds(faults_->config().stall_ms));
-    // Per-item decisions in batch order, before anything is evaluated.
-    std::size_t kept = 0;
+    // Per-item decisions in batch order, before anything is evaluated or
+    // moved; the first crash ends the draw.
+    std::vector<unsigned char>& throws = throws_scratch_;
+    throws.resize(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const ItemFault fault = item_fault(*faults_, batch[i]);
       if (fault == ItemFault::kCrash) {
-        // Simulated crash: the thread dies mid-batch, delivering and
-        // counting NOTHING. Only the item that personally triggered the
-        // crash advances its attempt, so co-batched items re-run under
-        // their unchanged fault schedule — batch composition is
-        // interleaving-dependent, their decisions must not be.
-        std::lock_guard<std::mutex> lock(inflight_mutex_);
-        inflight_[i].attempt += 1;
-        return DrainStatus::kCrashed;
+        // Simulated crash: the worker abandons the whole batch mid-drain,
+        // delivering and counting none of it, and hands it to the failure
+        // handler before carrying on. Only the item that personally
+        // triggered the crash advances its attempt, so co-batched items
+        // (throw-decided ones included) re-run under their unchanged fault
+        // schedule — batch composition is interleaving-dependent, their
+        // decisions must not be.
+        batch[i].attempt += 1;
+        failed.swap(batch);
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        stats_.worker_restarts += 1;
+        return true;
       }
-      if (fault == ItemFault::kThrow) {
-        // Injected transient failure: not evaluated, cached, or counted
-        // here — handed (attempt advanced) to the cluster for retry.
+      throws[i] = fault == ItemFault::kThrow ? 1 : 0;
+    }
+    // Injected transient failures: not evaluated, cached, or counted here
+    // — handed (attempt advanced) to the cluster for retry.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (throws[i]) {
         batch[i].attempt += 1;
         failed.push_back(std::move(batch[i]));
       } else {
@@ -359,34 +341,7 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
     }
     i = j;
   }
-
-  // Everything in the batch is now either delivered or owned by `failed`,
-  // and no fault site remains: clear the ledger.
-  if (faults_) {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    inflight_.clear();
-  }
-  return DrainStatus::kContinue;
-}
-
-std::vector<StreamItem> Shard::take_inflight() {
-  std::lock_guard<std::mutex> lock(inflight_mutex_);
-  std::vector<StreamItem> out = std::move(inflight_);
-  inflight_.clear();
-  return out;
-}
-
-bool Shard::has_inflight() const {
-  std::lock_guard<std::mutex> lock(inflight_mutex_);
-  return !inflight_.empty();
-}
-
-void Shard::restart() {
-  // The crashed thread has already returned from worker_loop; join reclaims
-  // it immediately. A fresh worker resumes over the same queue and wiring.
-  if (worker_.joinable()) worker_.join();
-  crashed_.store(false, std::memory_order_release);
-  worker_ = std::thread([this] { worker_loop(); });
+  return true;
 }
 
 ShardStats Shard::stats() const {

@@ -12,15 +12,15 @@
 //
 // The sites are the cluster's fault surface (src/cluster/ consumes them):
 //   eval-throw   — a shard worker's per-request evaluation throws; the
-//                  supervised worker converts it into a transient failure
-//                  that retries/fails over instead of killing the thread.
-//   queue-stall  — a shard worker sleeps mid-drain; the heartbeat watchdog
-//                  sees the stale heartbeat and marks the shard degraded.
+//                  worker converts it into a transient failure that
+//                  retries/fails over instead of killing the thread.
+//   queue-stall  — a shard worker sleeps mid-drain; the batch is answered
+//                  late, with its normal bytes (a pure latency fault).
 //   fit-fail     — a calibration fit fails at replication time; the corpus
 //                  is served degraded responses instead of crashing boot.
-//   worker-crash — a shard worker thread dies mid-batch; the watchdog
-//                  joins the corpse, restarts the worker, and re-drives
-//                  the batch it held.
+//   worker-crash — a shard worker crashes mid-batch; it abandons the whole
+//                  popped batch to the retry path, undelivered, and
+//                  carries on with its next pop.
 #pragma once
 
 #include <atomic>
@@ -58,7 +58,8 @@ struct FaultConfig {
   // even with a seed (parse_sites("all", ...) sets every bit).
   std::uint32_t sites = 0;
   // How long a fired queue-stall site sleeps, in milliseconds — long
-  // enough for the watchdog to notice, short enough that tests stay fast.
+  // enough to show in the latency histograms, short enough that tests
+  // stay fast.
   int stall_ms = 20;
 
   bool enabled(FaultSite site) const {

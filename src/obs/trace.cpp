@@ -46,8 +46,9 @@ struct TraceRecorder::Ring {
 namespace {
 
 // The thread-exit hook: every ring a thread claimed is handed back when it
-// exits, so a restarted worker records into its predecessor's ring (and
-// lane) instead of growing the recorder by one ring per thread ever seen.
+// exits, so a later thread (a new cluster's worker) records into its
+// predecessor's ring (and lane) instead of growing the recorder by one
+// ring per thread ever seen.
 // The hook holds shared ownership, so a ring outlives its recorder until
 // the last thread that claimed it has exited.
 struct ClaimedRings {

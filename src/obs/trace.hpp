@@ -12,7 +12,8 @@
 //     producers never contend with each other (the per-ring lock has a
 //     single writer and only serializes against the rare exporter drain).
 //     A thread's exit hands its ring to the next thread that records, so
-//     restarted workers reuse rings instead of adding one per thread.
+//     each new cluster's workers reuse rings instead of adding one per
+//     thread.
 //     A full ring overwrites its oldest event and bumps a drop counter the
 //     export publishes (otherData.dropped) — tracing sheds history, never
 //     blocks serving.

@@ -279,12 +279,13 @@ TEST(TraceTest, PartlyFilledRingExportsWhatItHolds) {
 }
 
 TEST(TraceTest, ExitedThreadsHandTheirRingToTheNextThread) {
-  // Eight short-lived threads, one after another (a worker restarted over
-  // and over): each takes over the ring its exited predecessor handed
-  // back, so every event exports under one lane and nothing is lost.
+  // Eight short-lived threads, one after another (the workers of clusters
+  // built and torn down in turn): each takes over the ring its exited
+  // predecessor handed back, so every event exports under one lane and
+  // nothing is lost.
   // A thread that never records parks after each worker: it takes over
   // the exited worker's thread resources, so the next worker runs under a
-  // new std::thread::id, as a restarted worker on a busy host does.
+  // new std::thread::id, as a later worker on a busy host does.
   TraceRecorder rec(/*ring_capacity=*/64);
   rec.enable();
   std::promise<void> release;
