@@ -88,6 +88,7 @@ render::RenderStats BunykRayCaster::render(const Camera& camera, const TransferF
   const std::size_t n_pixels = static_cast<std::size_t>(camera.pixel_count());
   std::atomic<long long> total_cells{0};
   std::atomic<long long> active{0};
+  const Camera::RayFrame frame = camera.ray_frame();
 
   {
     dpp::ScopedPhase phase(dev_, "trace");
@@ -97,7 +98,7 @@ render::RenderStats BunykRayCaster::render(const Camera& camera, const TransferF
           const int px = static_cast<int>(p) % camera.width;
           const int py = static_cast<int>(p) / camera.width;
           const Vec3f dir =
-              camera.ray_direction(static_cast<float>(px), static_cast<float>(py));
+              Camera::ray_direction(frame, static_cast<float>(px), static_cast<float>(py));
           long long steps = 0;
           const render::HitResult entry = render::intersect_closest(
               boundary_bvh_, boundary_, camera.position, dir, camera.znear, camera.zfar,

@@ -119,6 +119,7 @@ render::RenderStats TunedRayTracer::render_intersect(const Camera& camera,
 
   std::atomic<long long> total_steps{0};
   std::atomic<long long> active{0};
+  const Camera::RayFrame frame = camera.ray_frame();
   {
     dpp::ScopedPhase phase(dev_, "trace");
     dpp::for_each_dyn(
@@ -129,7 +130,7 @@ render::RenderStats TunedRayTracer::render_intersect(const Camera& camera,
           const int px = static_cast<int>(p) % camera.width;
           const int py = static_cast<int>(p) / camera.width;
           const Vec3f dir =
-              camera.ray_direction(static_cast<float>(px), static_cast<float>(py));
+              Camera::ray_direction(frame, static_cast<float>(px), static_cast<float>(py));
           float tmax = camera.zfar;
           int prim = -1;
           long long steps = 0;

@@ -603,6 +603,13 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
     if (tracing) trace_instant(item, "deliver", note);
     item.session->deliver(item.slot, degraded_response(why));
   };
+  // First pass: degrade what cannot be re-driven and find the largest
+  // backoff among the rest. The re-driven items then wait it out once,
+  // together, so a crash-abandoned batch of k items holds this shard's
+  // drain for one backoff, not k in turn.
+  std::vector<StreamItem*> redrive;
+  redrive.reserve(items.size());
+  long backoff_us = 0;
   for (StreamItem& item : items) {
     // Retry budget first: an item that already triggered retry_limit + 1
     // faults degrades with a deterministic message (a pure function of the
@@ -635,11 +642,15 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
     // retry_limit cannot overflow.
     if (item.attempt > 0 && config_.retry_backoff_us > 0) {
       const int shift = item.attempt - 1 < 16 ? item.attempt - 1 : 16;
-      long backoff_us = config_.retry_backoff_us << shift;
-      if (backoff_us > config_.retry_backoff_max_us)
-        backoff_us = config_.retry_backoff_max_us;
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
+      backoff_us = std::max(backoff_us, std::min(config_.retry_backoff_us << shift,
+                                                 config_.retry_backoff_max_us));
     }
+    redrive.push_back(&item);
+  }
+  if (backoff_us > 0) std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
+
+  for (StreamItem* next : redrive) {
+    StreamItem& item = *next;
     retries_.fetch_add(1, std::memory_order_relaxed);
     if (tracing) trace_instant(item, "retry", nullptr);
     // Re-drive target: the first shard other than the one that failed the

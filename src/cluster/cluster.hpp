@@ -203,8 +203,10 @@ struct ClusterConfig {
   // explicit degraded response instead. The first attempt is not a retry:
   // a request is tried at most retry_limit + 1 times.
   int retry_limit = 2;
-  // Exponential backoff before each re-drive: attempt k sleeps
-  // min(retry_backoff_us << (k-1), retry_backoff_max_us) microseconds.
+  // Exponential backoff before each re-drive: attempt k waits
+  // min(retry_backoff_us << (k-1), retry_backoff_max_us) microseconds; the
+  // items of one failure (e.g. a crash-abandoned batch) wait out the
+  // largest of their backoffs once, together.
   long retry_backoff_us = 50;
   long retry_backoff_max_us = 2000;
 };
@@ -410,8 +412,8 @@ class ServingCluster {
   int resolve_corpus(const std::string& name) const;
 
   // The failover/retry path (the shards' FailureHandler, called on their
-  // worker threads): each item either re-drives, after a bounded
-  // exponential backoff, into the queue of the first sibling in its key's
+  // worker threads): each item either re-drives, after the largest of the
+  // call's bounded exponential backoffs (slept once), into the queue of the first sibling in its key's
   // rendezvous order (a failover) or, with no sibling, back into
   // `from_shard`'s queue — or, once its retry budget is spent, its
   // deadline passed, or the cluster shut down, receives an explicit

@@ -60,7 +60,8 @@ struct ClusterMetrics {
   // ("degraded":true on the wire — retry budget spent, timeout, failed
   // corpus fit, or shutdown race). eval_exceptions counts evaluations that
   // threw and were answered with an in-slot error; faults_injected is the
-  // injector's firing total (0 whenever ISR_FAULT_SEED is unset).
+  // injector's firing total, each crash or throw counted once per attempt
+  // it fails (0 whenever ISR_FAULT_SEED is unset).
   long worker_restarts = 0;
   long failovers = 0;
   long retries = 0;

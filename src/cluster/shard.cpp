@@ -8,19 +8,12 @@ namespace isr::cluster {
 
 namespace {
 
-// The per-item fault decision: worker crash first, then eval throw. A pure
-// function of (stream, seq, attempt), so WHERE an item is tried never
-// changes whether it fails.
-enum class ItemFault { kNone, kCrash, kThrow };
-
-ItemFault item_fault(core::FaultInjector& faults, const StreamItem& item) {
-  const std::uint64_t stream = item.session->id();
-  const auto attempt = static_cast<std::uint64_t>(item.attempt);
-  if (faults.should_fire(core::FaultSite::kWorkerCrash, stream, item.slot, attempt))
-    return ItemFault::kCrash;
-  if (faults.should_fire(core::FaultSite::kShardEvalThrow, stream, item.slot, attempt))
-    return ItemFault::kThrow;
-  return ItemFault::kNone;
+// A fault decision for one attempt of one item: a pure function of
+// (stream, seq, attempt), so WHERE an item is tried never changes whether
+// it fails.
+bool item_fires(core::FaultInjector& faults, core::FaultSite site, const StreamItem& item) {
+  return faults.should_fire(site, item.session->id(), item.slot,
+                            static_cast<std::uint64_t>(item.attempt));
 }
 
 }  // namespace
@@ -169,33 +162,32 @@ bool Shard::drain_one_batch(std::vector<StreamItem>& failed) {
     if (faults_->should_fire(core::FaultSite::kQueueStall, head.session->id(), head.slot,
                              static_cast<std::uint64_t>(head.attempt)))
       std::this_thread::sleep_for(std::chrono::milliseconds(faults_->config().stall_ms));
-    // Per-item decisions in batch order, before anything is evaluated or
-    // moved; the first crash ends the draw.
-    std::vector<unsigned char>& throws = throws_scratch_;
-    throws.resize(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const ItemFault fault = item_fault(*faults_, batch[i]);
-      if (fault == ItemFault::kCrash) {
-        // Simulated crash: the worker abandons the whole batch mid-drain,
-        // delivering and counting none of it, and hands it to the failure
-        // handler before carrying on. Only the item that personally
-        // triggered the crash advances its attempt, so co-batched items
-        // (throw-decided ones included) re-run under their unchanged fault
-        // schedule — batch composition is interleaving-dependent, their
-        // decisions must not be.
-        batch[i].attempt += 1;
-        failed.swap(batch);
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.worker_restarts += 1;
-        return true;
+    // Per-item decisions, before anything is evaluated or moved. Crash
+    // decisions first, for the whole batch: each item whose crash fires
+    // advances its attempt and counts one restart, so every crash drawn is
+    // acted on exactly once, and any crash abandons the whole batch mid-drain, delivering and
+    // counting none of it; the batch goes to the failure handler before the
+    // worker carries on. Co-batched items re-run at their unchanged
+    // attempts — batch composition is interleaving-dependent, their
+    // decisions must not be — and their throw decisions are not drawn
+    // here, so a throw too is drawn once per attempt.
+    long crashes = 0;
+    for (StreamItem& item : batch)
+      if (item_fires(*faults_, core::FaultSite::kWorkerCrash, item)) {
+        item.attempt += 1;
+        ++crashes;
       }
-      throws[i] = fault == ItemFault::kThrow ? 1 : 0;
+    if (crashes > 0) {
+      failed.swap(batch);
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      stats_.worker_restarts += crashes;
+      return true;
     }
     // Injected transient failures: not evaluated, cached, or counted here
     // — handed (attempt advanced) to the cluster for retry.
     std::size_t kept = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (throws[i]) {
+      if (item_fires(*faults_, core::FaultSite::kShardEvalThrow, batch[i])) {
         batch[i].attempt += 1;
         failed.push_back(std::move(batch[i]));
       } else {

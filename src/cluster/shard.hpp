@@ -114,8 +114,8 @@ class Shard {
  private:
   void worker_loop();
   // The one drain path: pop a batch, run the fault hooks (armed injector
-  // only: the head's stall, then per-item crash/throw decisions in batch
-  // order), evaluate what remains, fill the cache, account, trace
+  // only: the head's stall, then every item's crash decision and, when
+  // none fired, every item's throw decision), evaluate what remains, fill the cache, account, trace
   // (live-clock recorder only), and deliver. Items to re-drive land in
   // `failed`. Returns false once the queue is closed and empty.
   bool drain_one_batch(std::vector<StreamItem>& failed);
@@ -148,7 +148,6 @@ class Shard {
   // columns all keep their capacity across batches, so a warmed-up drain
   // loop runs allocation-free.
   std::vector<StreamItem> batch_scratch_;
-  std::vector<unsigned char> throws_scratch_;
   std::vector<serve::AdvisorResponse> response_scratch_;
   core::Arena group_arena_;
   serve::EvalScratch eval_scratch_;

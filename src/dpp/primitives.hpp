@@ -71,6 +71,27 @@ void for_each_dyn(Device& dev, std::size_t n, F&& f, CostFn&& cost_fn) {
   dev.record_kernel(n, cost_fn(), timer.seconds());
 }
 
+// for_each_dyn for kernels that tally their work per element (e.g. BVH
+// steps per ray): f(i) returns the element's tally, and cost_fn(total) is
+// evaluated once with the sum. Integer sums do not depend on the order, so
+// the cost is the same at any thread count, and no element pays an atomic.
+template <class F, class CostFn>
+void for_each_tally(Device& dev, std::size_t n, F&& f, CostFn&& cost_fn) {
+  WallTimer timer;
+  long long total = 0;
+  if (detail::use_parallel(dev, n)) {
+#ifdef ISR_HAVE_OPENMP
+#pragma omp parallel for schedule(dynamic, 256) num_threads(dev.thread_count()) \
+    reduction(+ : total)
+    for (long long i = 0; i < static_cast<long long>(n); ++i)
+      total += f(static_cast<std::size_t>(i));
+#endif
+  } else {
+    for (std::size_t i = 0; i < n; ++i) total += f(i);
+  }
+  dev.record_kernel(n, cost_fn(total), timer.seconds());
+}
+
 // reduce: combine n values with an associative op.
 template <class T, class F, class Op>
 T transform_reduce(Device& dev, std::size_t n, T init, F&& f, Op&& op,

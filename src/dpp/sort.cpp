@@ -25,11 +25,18 @@ void radix_sort_impl(Device& dev, std::vector<Key>& keys, std::vector<int>& valu
   int* vin = values.data();
   int* vout = vals_tmp.data();
 
+  // One read computes every pass's histogram. A pass whose digit is the
+  // same in every key is the identity permutation of a stable sort, so it
+  // is skipped (e.g. the high index bytes of LBVH keys).
+  std::size_t hists[kPasses][kBuckets] = {};
+  for (std::size_t i = 0; i < n; ++i)
+    for (int pass = 0; pass < kPasses; ++pass)
+      ++hists[pass][(kin[i] >> (pass * kBits)) & (kBuckets - 1)];
+
   for (int pass = 0; pass < kPasses; ++pass) {
     const int shift = pass * kBits;
-    std::size_t hist[kBuckets] = {};
-    for (std::size_t i = 0; i < n; ++i)
-      ++hist[static_cast<std::size_t>((kin[i] >> shift) & (kBuckets - 1))];
+    std::size_t* hist = hists[pass];
+    if (hist[(kin[0] >> shift) & (kBuckets - 1)] == n) continue;
     std::size_t run = 0;
     for (int b = 0; b < kBuckets; ++b) {
       const std::size_t c = hist[b];

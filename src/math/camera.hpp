@@ -27,17 +27,39 @@ struct Camera {
 
   Vec3f forward() const { return normalize(look_at - position); }
 
+  // The per-frame constants of ray generation: the view basis and the
+  // screen scale. Renderers compute it once per render, not once per ray.
+  struct RayFrame {
+    Vec3f forward, side, up;
+    float tan_half = 0.0f;
+    float aspect = 1.0f;
+    float width = 1.0f, height = 1.0f;
+  };
+
+  RayFrame ray_frame() const {
+    RayFrame fr;
+    fr.forward = forward();
+    fr.side = normalize(cross(fr.forward, up));
+    fr.up = cross(fr.side, fr.forward);
+    fr.tan_half = std::tan(fov_y_degrees * 3.14159265358979f / 360.0f);
+    fr.aspect = aspect();
+    fr.width = static_cast<float>(width);
+    fr.height = static_cast<float>(height);
+    return fr;
+  }
+
   // Direction through pixel (px, py); sub-pixel offsets in [0,1) support the
-  // 4-ray anti-aliasing workload.
+  // 4-ray anti-aliasing workload. The one copy of the ray math: the member
+  // form below delegates here, so both round identically.
+  static Vec3f ray_direction(const RayFrame& fr, float px, float py, float sub_x = 0.5f,
+                             float sub_y = 0.5f) {
+    const float ndc_x = (2.0f * (px + sub_x) / fr.width - 1.0f) * fr.tan_half * fr.aspect;
+    const float ndc_y = (1.0f - 2.0f * (py + sub_y) / fr.height) * fr.tan_half;
+    return normalize(fr.forward + fr.side * ndc_x + fr.up * ndc_y);
+  }
+
   Vec3f ray_direction(float px, float py, float sub_x = 0.5f, float sub_y = 0.5f) const {
-    const Vec3f f = forward();
-    const Vec3f s = normalize(cross(f, up));
-    const Vec3f u = cross(s, f);
-    const float tan_half = std::tan(fov_y_degrees * 3.14159265358979f / 360.0f);
-    const float ndc_x =
-        (2.0f * (px + sub_x) / static_cast<float>(width) - 1.0f) * tan_half * aspect();
-    const float ndc_y = (1.0f - 2.0f * (py + sub_y) / static_cast<float>(height)) * tan_half;
-    return normalize(f + s * ndc_x + u * ndc_y);
+    return ray_direction(ray_frame(), px, py, sub_x, sub_y);
   }
 
   Mat4 view() const { return Mat4::look_at(position, look_at, up); }

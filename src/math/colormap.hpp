@@ -51,10 +51,12 @@ class TransferFunction {
   TransferFunction(const ColorTable& colors, float min_alpha, float max_alpha);
 
   // Piecewise opacity ramp: alpha(t) = min + (max-min) * t.
-  Vec4f sample(float t) const {
-    int i = static_cast<int>(clamp01(t) * (kLutSize - 1));
-    return lut_[static_cast<std::size_t>(i)];
-  }
+  Vec4f sample(float t) const { return entry(lut_index(t)); }
+
+  // The LUT entry sample(t) reads; renderers that derive per-entry values
+  // (e.g. corrected opacities) once per frame index them with it.
+  static int lut_index(float t) { return static_cast<int>(clamp01(t) * (kLutSize - 1)); }
+  Vec4f entry(int i) const { return lut_[static_cast<std::size_t>(i)]; }
 
   // Opacity correction: alpha for a sample of length `dt` relative to the
   // reference spacing the LUT was built for.

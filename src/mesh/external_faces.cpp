@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 namespace isr::mesh {
 
@@ -20,19 +21,18 @@ TriMesh external_faces(const StructuredGrid& grid) {
   TriMesh out;
   const int nx = grid.nx(), ny = grid.ny(), nz = grid.nz();
 
-  // Map from grid point index to compact output index, filled lazily; only
-  // boundary points are emitted.
-  std::unordered_map<std::size_t, int> remap;
-  remap.reserve(static_cast<std::size_t>(2 * ((nx + 1) * (ny + 1) + (ny + 1) * (nz + 1) +
-                                              (nx + 1) * (nz + 1))));
+  // Map from grid point index to compact output index (-1: not emitted
+  // yet), filled lazily; only boundary points are emitted.
+  std::vector<int> remap(grid.point_count(), -1);
   auto point_id = [&](int i, int j, int k) {
     const std::size_t gid = grid.point_index(i, j, k);
-    auto [it, inserted] = remap.try_emplace(gid, static_cast<int>(out.points.size()));
-    if (inserted) {
+    int& id = remap[gid];
+    if (id < 0) {
+      id = static_cast<int>(out.points.size());
       out.points.push_back(grid.point(i, j, k));
       out.scalars.push_back(grid.scalars()[gid]);
     }
-    return it->second;
+    return id;
   };
 
   // Six boundary planes; quads wound so normals point outward.
@@ -98,17 +98,20 @@ TriMesh external_faces(const HexMesh& hexes) {
     }
   }
 
+  // Output ids are assigned in first-use order; a dense table over the
+  // input points finds them without hashing.
   TriMesh out;
-  std::unordered_map<int, int> remap;
+  std::vector<int> remap(hexes.points.size(), -1);
   auto point_id = [&](int gid) {
-    auto [it, inserted] = remap.try_emplace(gid, static_cast<int>(out.points.size()));
-    if (inserted) {
+    int& id = remap[static_cast<std::size_t>(gid)];
+    if (id < 0) {
+      id = static_cast<int>(out.points.size());
       out.points.push_back(hexes.points[static_cast<std::size_t>(gid)]);
       out.scalars.push_back(hexes.scalars.empty()
                                 ? 0.0f
                                 : hexes.scalars[static_cast<std::size_t>(gid)]);
     }
-    return it->second;
+    return id;
   };
   for (const auto& [key, info] : faces) {
     if (info.count != 1) continue;

@@ -2,6 +2,7 @@
 // and the structured volume renderer consumes.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -46,9 +47,48 @@ class StructuredGrid {
   const std::vector<float>& scalars() const { return scalars_; }
   float scalar_at(int i, int j, int k) const { return scalars_[point_index(i, j, k)]; }
 
+  // Grid-space coordinates of a world-space position: cell (i, j, k) spans
+  // [i, i + 1) x [j, j + 1) x [k, k + 1).
+  Vec3f grid_coords(Vec3f p) const {
+    return {(p.x - origin_.x) / spacing_.x, (p.y - origin_.y) / spacing_.y,
+            (p.z - origin_.z) / spacing_.z};
+  }
+
+  // Trilinear interpolation at grid-space coordinates (grid_coords());
+  // returns false outside the grid. Inline: it runs once per volume sample.
+  bool sample_grid(Vec3f local, float& value) const {
+    if (local.x < 0 || local.y < 0 || local.z < 0 || local.x > static_cast<float>(nx_) ||
+        local.y > static_cast<float>(ny_) || local.z > static_cast<float>(nz_))
+      return false;
+    const int i = std::min(static_cast<int>(local.x), nx_ - 1);
+    const int j = std::min(static_cast<int>(local.y), ny_ - 1);
+    const int k = std::min(static_cast<int>(local.z), nz_ - 1);
+    const float fx = local.x - static_cast<float>(i);
+    const float fy = local.y - static_cast<float>(j);
+    const float fz = local.z - static_cast<float>(k);
+
+    const float c000 = scalar_at(i, j, k);
+    const float c100 = scalar_at(i + 1, j, k);
+    const float c010 = scalar_at(i, j + 1, k);
+    const float c110 = scalar_at(i + 1, j + 1, k);
+    const float c001 = scalar_at(i, j, k + 1);
+    const float c101 = scalar_at(i + 1, j, k + 1);
+    const float c011 = scalar_at(i, j + 1, k + 1);
+    const float c111 = scalar_at(i + 1, j + 1, k + 1);
+
+    const float c00 = c000 + (c100 - c000) * fx;
+    const float c10 = c010 + (c110 - c010) * fx;
+    const float c01 = c001 + (c101 - c001) * fx;
+    const float c11 = c011 + (c111 - c011) * fx;
+    const float c0 = c00 + (c10 - c00) * fy;
+    const float c1 = c01 + (c11 - c01) * fy;
+    value = c0 + (c1 - c0) * fz;
+    return true;
+  }
+
   // Trilinear interpolation at a world-space position; returns false when p
   // is outside the grid.
-  bool sample(Vec3f p, float& value) const;
+  bool sample(Vec3f p, float& value) const { return sample_grid(grid_coords(p), value); }
 
   // Min/max of the scalar field (0,0 when empty).
   void scalar_range(float& lo, float& hi) const;

@@ -1,7 +1,9 @@
 #include "model/study.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 
 #include "comm/compositor.hpp"
 #include "conduit/blueprint.hpp"
@@ -342,7 +344,17 @@ std::vector<Observation> run_study(const StudyConfig& config, bool verbose) {
     }
   };
 
-  core::parallel_for(pool, jobs.size(), run_job);
+  // Largest jobs first, by ranks x valid renderers: a large job started
+  // last leaves one lane finishing it while the others idle. Slots and
+  // seeds are functions of the grid coordinate, so the order moves no bit.
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto size_of = [&](std::size_t ji) {
+    return static_cast<std::size_t>(jobs[ji].tasks) * jobs[ji].kinds;
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return size_of(a) > size_of(b); });
+  core::parallel_for(pool, order.size(), [&](std::size_t i) { run_job(order[i]); });
 
   // Buffered verbose output, emitted in deterministic grid order.
   if (verbose)

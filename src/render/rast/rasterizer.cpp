@@ -104,10 +104,10 @@ RenderStats Rasterizer::render(const Camera& camera, const ColorTable& colors, I
                                     normalize(cross(camera.forward(), camera.up)) * 0.5f +
                                     camera.up * 0.8f);
 
-  std::atomic<long long> pixels_considered{0};
+  long long pixels_considered = 0;
   {
     dpp::ScopedPhase phase(dev_, "raster");
-    dpp::for_each_dyn(
+    dpp::for_each_tally(
         dev_, vis_ids.size(),
         [&](std::size_t k) {
           const std::size_t t = static_cast<std::size_t>(vis_ids[k]);
@@ -122,13 +122,12 @@ RenderStats Rasterizer::render(const Camera& camera, const ColorTable& colors, I
           const int y1 = std::min(camera.height - 1,
                                   static_cast<int>(std::ceil(
                                       std::max({st.p[0].y, st.p[1].y, st.p[2].y}))));
-          if (x1 < x0 || y1 < y0) return;
-          pixels_considered.fetch_add(
-              static_cast<long long>(x1 - x0 + 1) * (y1 - y0 + 1), std::memory_order_relaxed);
+          if (x1 < x0 || y1 < y0) return 0ll;
+          const long long considered = static_cast<long long>(x1 - x0 + 1) * (y1 - y0 + 1);
 
           const Vec2f a = st.p[0], b = st.p[1], c = st.p[2];
           const float area = (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y);
-          if (std::abs(area) < 1e-12f) return;
+          if (std::abs(area) < 1e-12f) return considered;
           const float inv_area = 1.0f / area;
 
           const int i0 = mesh_.tris[t * 3 + 0];
@@ -145,12 +144,26 @@ RenderStats Rasterizer::render(const Camera& camera, const ColorTable& colors, I
                   ((c.x - p.x) * (a.y - p.y) - (a.x - p.x) * (c.y - p.y)) * inv_area;
               const float w2 = 1.0f - w0 - w1;
               if (w0 < 0 || w1 < 0 || w2 < 0) continue;
-              // Perspective-correct weights.
+              // Perspective-correct depth.
               const float iw = w0 * st.inv_w[0] + w1 * st.inv_w[1] + w2 * st.inv_w[2];
+              const float depth = 1.0f / iw;
+
+              // Atomic min on packed (depth | rgba8): positive float bits
+              // are monotonic, so integer compare orders by depth. A
+              // fragment whose depth half alone exceeds the stored value
+              // can never win the min, so it is rejected before shading;
+              // stored values only fall, so a stale read rejects nothing
+              // that could win.
+              const std::uint64_t depth_key =
+                  static_cast<std::uint64_t>(bit_cast<std::uint32_t>(depth)) << 32;
+              auto& cell = fb[static_cast<std::size_t>(y) * static_cast<std::size_t>(camera.width) + x];
+              std::uint64_t cur = cell.load(std::memory_order_relaxed);
+              if (depth_key > cur) continue;
+
+              // Perspective-correct weights.
               const float pw0 = w0 * st.inv_w[0] / iw;
               const float pw1 = w1 * st.inv_w[1] / iw;
               const float pw2 = 1.0f - pw0 - pw1;
-              const float depth = 1.0f / iw;
 
               // Interpolate attributes and shade.
               float scalar = 0.5f;
@@ -178,22 +191,18 @@ RenderStats Rasterizer::render(const Camera& camera, const ColorTable& colors, I
               const Vec3f rgb = {clamp01(base.x * lit), clamp01(base.y * lit),
                                  clamp01(base.z * lit)};
 
-              // Atomic min on packed (depth | rgba8): positive float bits
-              // are monotonic, so integer compare orders by depth.
-              const std::uint64_t packed =
-                  (static_cast<std::uint64_t>(bit_cast<std::uint32_t>(depth)) << 32) |
-                  pack_rgba8(rgb, 1.0f);
-              auto& cell = fb[static_cast<std::size_t>(y) * static_cast<std::size_t>(camera.width) + x];
-              std::uint64_t cur = cell.load(std::memory_order_relaxed);
+              const std::uint64_t packed = depth_key | pack_rgba8(rgb, 1.0f);
               while (packed < cur &&
                      !cell.compare_exchange_weak(cur, packed, std::memory_order_relaxed)) {
               }
             }
           }
+          return considered;
         },
-        [&] {
+        [&](long long total) {
+          pixels_considered = total;
           const double vo = static_cast<double>(std::max<std::size_t>(vis_ids.size(), 1));
-          const double ppt = static_cast<double>(pixels_considered.load()) / vo;
+          const double ppt = static_cast<double>(total) / vo;
           return dpp::KernelCost{.flops_per_elem = 20.0 + 60.0 * ppt,
                                  .bytes_per_elem = 60.0 + 24.0 * ppt,
                                  .divergence = 1.25};
@@ -202,7 +211,7 @@ RenderStats Rasterizer::render(const Camera& camera, const ColorTable& colors, I
 
   stats.pixels_per_tri =
       stats.visible_objects > 0
-          ? static_cast<double>(pixels_considered.load()) / stats.visible_objects
+          ? static_cast<double>(pixels_considered) / stats.visible_objects
           : 0.0;
 
   // --- Resolve packed buffer into the image -------------------------------

@@ -1,6 +1,5 @@
 #include "render/rt/raytracer.hpp"
 
-#include <atomic>
 #include <cmath>
 
 #include "dpp/primitives.hpp"
@@ -75,20 +74,11 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
   std::vector<int> ray_pixel(n_rays);
   {
     dpp::ScopedPhase phase(dev_, "trace");
-    // Pixel traversal order follows the Morton curve: enumerate the square
-    // power-of-two super-grid and skip out-of-range codes.
-    std::uint32_t side = 1;
-    while (side < static_cast<std::uint32_t>(std::max(camera.width, camera.height))) side <<= 1;
+    // Pixel traversal order follows the Morton curve.
     std::vector<int> pixel_order;
-    pixel_order.reserve(n_pixels);
-    for (std::uint32_t code = 0; code < side * side; ++code) {
-      std::uint32_t x, y;
-      morton2d_decode(code, x, y);
-      if (x < static_cast<std::uint32_t>(camera.width) &&
-          y < static_cast<std::uint32_t>(camera.height))
-        pixel_order.push_back(static_cast<int>(y) * camera.width + static_cast<int>(x));
-    }
+    morton_pixel_order(camera.width, camera.height, pixel_order);
 
+    const Camera::RayFrame frame = camera.ray_frame();
     dpp::for_each(
         dev_, n_rays,
         [&](std::size_t r) {
@@ -98,8 +88,8 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
           const int px = pixel % camera.width;
           const int py = pixel / camera.width;
           const Vec2f off = aa ? kAaOffsets[sub] : Vec2f{0.5f, 0.5f};
-          dirs[r] = camera.ray_direction(static_cast<float>(px), static_cast<float>(py),
-                                         off.x, off.y);
+          dirs[r] = Camera::ray_direction(frame, static_cast<float>(px),
+                                          static_cast<float>(py), off.x, off.y);
           ray_pixel[r] = pixel;
         },
         dpp::KernelCost{.flops_per_elem = 28, .bytes_per_elem = 20});
@@ -109,17 +99,16 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
   std::vector<HitResult> hits(n_rays);
   {
     dpp::ScopedPhase phase(dev_, "trace");
-    std::atomic<long long> total_steps{0};
-    dpp::for_each_dyn(
+    dpp::for_each_tally(
         dev_, n_rays,
         [&](std::size_t r) {
           long long steps = 0;
           hits[r] = intersect_closest(bvh_, mesh_, camera.position, dirs[r], camera.znear,
                                       camera.zfar, steps);
-          total_steps.fetch_add(steps, std::memory_order_relaxed);
+          return steps;
         },
-        [&] {
-          const double avg = static_cast<double>(total_steps.load()) /
+        [&](long long total_steps) {
+          const double avg = static_cast<double>(total_steps) /
                              static_cast<double>(std::max<std::size_t>(n_rays, 1));
           // ~12 flops per node visit / triangle test; divergence reflects
           // the incoherent control flow of the if-if traversal.
@@ -161,19 +150,22 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
   }
 
   // --- Optional stream compaction of dead rays ----------------------------
-  std::vector<int> live;  // indices into the ray arrays
-  if (full && options.stream_compaction) {
+  // Compacted indices into the ray arrays; without compaction every ray is
+  // live and ray k is ray k.
+  const bool compacted = full && options.stream_compaction;
+  std::vector<int> live;
+  if (compacted) {
     dpp::ScopedPhase phase(dev_, "trace");
     std::vector<std::uint8_t> alive(n_rays);
     dpp::for_each(
         dev_, n_rays, [&](std::size_t r) { alive[r] = hits[r].hit() ? 1 : 0; },
         dpp::KernelCost{.flops_per_elem = 1, .bytes_per_elem = 9});
     live = dpp::compact_indices(dev_, alive.data(), n_rays);
-  } else {
-    live.resize(n_rays);
-    for (std::size_t r = 0; r < n_rays; ++r) live[r] = static_cast<int>(r);
   }
-  const std::size_t n_live = live.size();
+  const std::size_t n_live = compacted ? live.size() : n_rays;
+  const auto ray_of = [&](std::size_t k) {
+    return compacted ? static_cast<std::size_t>(live[k]) : k;
+  };
   const double live_fraction =
       n_live > 0 ? static_cast<double>(n_hit_rays) / static_cast<double>(n_live) : 1.0;
 
@@ -186,7 +178,7 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
     dpp::for_each(
         dev_, n_live,
         [&](std::size_t k) {
-          const HitResult& h = hits[static_cast<std::size_t>(live[k])];
+          const HitResult& h = hits[ray_of(k)];
           if (!h.hit()) {
             hit_normals[k] = {0, 0, 1};
             return;
@@ -196,7 +188,7 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
           const int i1 = mesh_.tris[tri * 3 + 1];
           const int i2 = mesh_.tris[tri * 3 + 2];
           const float w0 = 1.0f - h.u - h.v;
-          hit_points[k] = camera.position + dirs[static_cast<std::size_t>(live[k])] * h.t;
+          hit_points[k] = camera.position + dirs[ray_of(k)] * h.t;
           if (!mesh_.normals.empty()) {
             hit_normals[k] = normalize(mesh_.normals[static_cast<std::size_t>(i0)] * w0 +
                                        mesh_.normals[static_cast<std::size_t>(i1)] * h.u +
@@ -217,8 +209,10 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
   }
 
   // --- Ambient occlusion (scatter to samples, trace, gather) --------------
-  std::vector<float> occlusion(n_live, 1.0f);
+  // Empty when off: every hit is unoccluded.
+  std::vector<float> occlusion;
   if (full && options.ao_samples > 0) {
+    occlusion.resize(n_live);
     dpp::ScopedPhase phase(dev_, "trace");
     const std::size_t s_per = static_cast<std::size_t>(options.ao_samples);
     const std::size_t n_occ = n_live * s_per;
@@ -229,26 +223,25 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
         dev_, n_occ,
         [&](std::size_t s) {
           const std::size_t k = s / s_per;
-          Rng rng(0x9E3779B9u * (static_cast<std::uint64_t>(live[k]) + 1) + s % s_per);
+          Rng rng(0x9E3779B9u * (static_cast<std::uint64_t>(ray_of(k)) + 1) + s % s_per);
           occ_dirs[s] = sample_hemisphere(hit_normals[k], rng.next_float(), rng.next_float());
         },
         dpp::KernelCost{.flops_per_elem = 30, .bytes_per_elem = 28});
 
     std::vector<std::uint8_t> occluded(n_occ, 0);
-    std::atomic<long long> occ_steps{0};
-    dpp::for_each_dyn(
+    dpp::for_each_tally(
         dev_, n_occ,
         [&](std::size_t s) {
           const std::size_t k = s / s_per;
-          if (!hits[static_cast<std::size_t>(live[k])].hit()) return;
           long long steps = 0;
+          if (!hits[ray_of(k)].hit()) return steps;
           const Vec3f origin = hit_points[k] + hit_normals[k] * (1e-4f * max_dist);
           occluded[s] =
               intersect_any(bvh_, mesh_, origin, occ_dirs[s], 0.0f, max_dist, steps) ? 1 : 0;
-          occ_steps.fetch_add(steps, std::memory_order_relaxed);
+          return steps;
         },
-        [&] {
-          const double avg = static_cast<double>(occ_steps.load()) /
+        [&](long long occ_steps) {
+          const double avg = static_cast<double>(occ_steps) /
                              static_cast<double>(std::max<std::size_t>(n_occ, 1));
           return dpp::KernelCost{.flops_per_elem = 12.0 * avg,
                                  .bytes_per_elem = 24.0 + 4.0 * avg,
@@ -271,22 +264,23 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
   const Vec3f light_dir = normalize(camera.forward() * -1.0f +
                                     normalize(cross(camera.forward(), camera.up)) * 0.5f +
                                     camera.up * 0.8f);
-  std::vector<float> shadow(n_live, 1.0f);
+  // Empty when off: every hit is lit.
+  std::vector<float> shadow;
   if (full && options.shadows) {
+    shadow.assign(n_live, 1.0f);
     dpp::ScopedPhase phase(dev_, "trace");
-    std::atomic<long long> sh_steps{0};
-    dpp::for_each_dyn(
+    dpp::for_each_tally(
         dev_, n_live,
         [&](std::size_t k) {
-          if (!hits[static_cast<std::size_t>(live[k])].hit()) return;
           long long steps = 0;
+          if (!hits[ray_of(k)].hit()) return steps;
           const Vec3f origin = hit_points[k] + hit_normals[k] * 1e-4f;
           if (intersect_any(bvh_, mesh_, origin, light_dir, 1e-4f, camera.zfar, steps))
             shadow[k] = 0.35f;  // attenuated, not black: direct term only
-          sh_steps.fetch_add(steps, std::memory_order_relaxed);
+          return steps;
         },
-        [&] {
-          const double avg = static_cast<double>(sh_steps.load()) /
+        [&](long long sh_steps) {
+          const double avg = static_cast<double>(sh_steps) /
                              static_cast<double>(std::max<std::size_t>(n_live, 1));
           return dpp::KernelCost{.flops_per_elem = 12.0 * avg,
                                  .bytes_per_elem = 24.0 + 4.0 * avg,
@@ -303,11 +297,12 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
     dpp::for_each(
         dev_, n_live,
         [&](std::size_t k) {
-          const std::size_t r = static_cast<std::size_t>(live[k]);
+          const std::size_t r = ray_of(k);
           if (!hits[r].hit()) return;
           const Vec3f base = colors.sample(hit_scalars[k]);
-          ray_color[r] = blinn_phong(sh, hit_points[k], hit_normals[k], base, occlusion[k],
-                                     shadow[k]);
+          ray_color[r] = blinn_phong(sh, hit_points[k], hit_normals[k], base,
+                                     occlusion.empty() ? 1.0f : occlusion[k],
+                                     shadow.empty() ? 1.0f : shadow[k]);
           ray_valid[r] = 1;
         },
         dpp::KernelCost{.flops_per_elem = 45 * live_fraction,
@@ -318,28 +313,27 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
     // One reflection generation per depth level; rays are regenerated from
     // the previous hit set (paper: reflected rays processed per generation).
     dpp::ScopedPhase phase(dev_, "trace");
-    std::atomic<long long> rf_steps{0};
-    dpp::for_each_dyn(
+    dpp::for_each_tally(
         dev_, n_live,
         [&](std::size_t k) {
-          const std::size_t r = static_cast<std::size_t>(live[k]);
-          if (!hits[r].hit()) return;
+          const std::size_t r = ray_of(k);
+          long long steps = 0;
+          if (!hits[r].hit()) return steps;
           const Vec3f in_dir = dirs[r];
           const Vec3f n = hit_normals[k];
           const Vec3f refl = in_dir - n * (2.0f * dot(in_dir, n));
-          long long steps = 0;
           const Vec3f origin = hit_points[k] + n * 1e-4f;
           HitResult h2 = intersect_closest(bvh_, mesh_, origin, refl, 1e-4f, camera.zfar, steps);
-          rf_steps.fetch_add(steps, std::memory_order_relaxed);
-          if (!h2.hit()) return;
+          if (!h2.hit()) return steps;
           const std::size_t tri = static_cast<std::size_t>(h2.prim);
           const int i0 = mesh_.tris[tri * 3];
           float s2 = mesh_.scalars.empty() ? 0.5f : mesh_.scalars[static_cast<std::size_t>(i0)];
           const Vec3f c2 = colors.sample(s2);
           ray_color[r] = lerp(ray_color[r], c2, options.specular_reflectance);
+          return steps;
         },
-        [&] {
-          const double avg = static_cast<double>(rf_steps.load()) /
+        [&](long long rf_steps) {
+          const double avg = static_cast<double>(rf_steps) /
                              static_cast<double>(std::max<std::size_t>(n_live, 1));
           return dpp::KernelCost{.flops_per_elem = 12.0 * avg,
                                  .bytes_per_elem = 24.0 + 4.0 * avg,

@@ -24,13 +24,20 @@ RenderStats StructuredVolumeRenderer::render(const Camera& camera,
   const AABB bounds = grid_.bounds();
   const float diag = length(bounds.extent());
   const float dt = diag / static_cast<float>(std::max(options.samples, 1));
-  const Vec3f spacing = grid_.spacing();
   const std::size_t n_pixels = static_cast<std::size_t>(camera.pixel_count());
 
   std::atomic<long long> total_samples{0};
   std::atomic<long long> total_cell_steps{0};
   std::atomic<long long> active{0};
   std::atomic<long long> max_cells{0};
+  const Camera::RayFrame frame = camera.ray_frame();
+  // Opacity correction against the 400-sample reference shared by all
+  // volume renderers (so images are comparable across them). It depends
+  // only on the LUT entry, so each entry is corrected once per frame.
+  float corrected_alpha[TransferFunction::kLutSize];
+  for (int i = 0; i < TransferFunction::kLutSize; ++i)
+    corrected_alpha[i] = TransferFunction::correct_alpha(
+        tf.entry(i).w, 400.0f / static_cast<float>(options.samples));
 
   {
     dpp::ScopedPhase phase(dev_, "volume_render");
@@ -40,7 +47,7 @@ RenderStats StructuredVolumeRenderer::render(const Camera& camera,
           const int px = static_cast<int>(p) % camera.width;
           const int py = static_cast<int>(p) / camera.width;
           const Vec3f dir =
-              camera.ray_direction(static_cast<float>(px), static_cast<float>(py));
+              Camera::ray_direction(frame, static_cast<float>(px), static_cast<float>(py));
           const Vec3f inv_dir = {1.0f / dir.x, 1.0f / dir.y, 1.0f / dir.z};
           float t0, t1;
           if (!bounds.intersect(camera.position, inv_dir, camera.znear, camera.zfar, t0, t1))
@@ -53,26 +60,25 @@ RenderStats StructuredVolumeRenderer::render(const Camera& camera,
           int last_cx = -1, last_cy = -1, last_cz = -1;
           float first_t = -1.0f;
           for (float t = t0 + 0.5f * dt; t < t1; t += dt) {
-            const Vec3f pos = camera.position + dir * t;
+            // Grid coordinates locate both the sample and its cell
+            // (bounds.lo is the grid origin: spacing is positive).
+            const Vec3f local = grid_.grid_coords(camera.position + dir * t);
             float value;
-            if (!grid_.sample(pos, value)) continue;
+            if (!grid_.sample_grid(local, value)) continue;
             ++samples;
-            const int cx = static_cast<int>((pos.x - bounds.lo.x) / spacing.x);
-            const int cy = static_cast<int>((pos.y - bounds.lo.y) / spacing.y);
-            const int cz = static_cast<int>((pos.z - bounds.lo.z) / spacing.z);
+            const int cx = static_cast<int>(local.x);
+            const int cy = static_cast<int>(local.y);
+            const int cz = static_cast<int>(local.z);
             if (cx != last_cx || cy != last_cy || cz != last_cz) {
               ++cell_steps;
               last_cx = cx;
               last_cy = cy;
               last_cz = cz;
             }
-            Vec4f s = tf.sample(value);
-            // Opacity correction against the 400-sample reference shared by
-            // all volume renderers (so images are comparable across them),
-            // then front-to-back "over".
-            const float alpha = TransferFunction::correct_alpha(
-                                    s.w, 400.0f / static_cast<float>(options.samples)) *
-                                (1.0f - accum.w);
+            // Corrected opacity, then front-to-back "over".
+            const int entry = TransferFunction::lut_index(value);
+            const Vec4f s = tf.entry(entry);
+            const float alpha = corrected_alpha[entry] * (1.0f - accum.w);
             accum.x += s.x * alpha;
             accum.y += s.y * alpha;
             accum.z += s.z * alpha;

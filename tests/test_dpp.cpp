@@ -4,7 +4,9 @@
 // timing/cost-model contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "dpp/primitives.hpp"
@@ -128,6 +130,31 @@ TEST(Primitives, CompactAllAndNone) {
   EXPECT_TRUE(compact_indices(dev, none.data(), 100).empty());
 }
 
+// Per-element tallies reach the cost function as one sum, the same on a
+// threaded host device as on a serial one.
+TEST(Primitives, ForEachTallySumsAtAnyThreadCount) {
+  constexpr std::size_t kN = 20000;
+  long long expected = 0;
+  for (std::size_t i = 0; i < kN; ++i) expected += static_cast<long long>(i % 7);
+  for (Device dev : {Device::serial(), Device::host(4)}) {
+    std::vector<int> touched(kN, 0);
+    long long seen = -1;
+    for_each_tally(
+        dev, kN,
+        [&](std::size_t i) {
+          touched[i] = 1;
+          return static_cast<long long>(i % 7);
+        },
+        [&](long long total) {
+          seen = total;
+          return KernelCost{};
+        });
+    EXPECT_EQ(seen, expected);
+    EXPECT_EQ(std::accumulate(touched.begin(), touched.end(), 0), static_cast<int>(kN));
+    EXPECT_EQ(dev.timings().phases.begin()->second.kernels, 1u);
+  }
+}
+
 TEST(Sort, SortsRandomKeys32) {
   Device dev = Device::serial();
   Rng rng(7);
@@ -180,6 +207,36 @@ TEST(Sort, StableForEqualKeys) {
   std::vector<int> vals = {0, 1, 2, 3, 4};
   sort_pairs(dev, keys, vals);
   EXPECT_EQ(vals, (std::vector<int>{1, 3, 0, 2, 4}));
+}
+
+// LBVH-shaped keys ((code << 32) | index) leave whole digits constant; the
+// sort skips those passes and must still equal a stable sort, payload and
+// recorded kernel included.
+TEST(Sort, ConstantDigitsMatchAStableSort) {
+  Rng rng(10);
+  std::vector<std::uint64_t> keys(2000);
+  std::vector<int> vals(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = (static_cast<std::uint64_t>(rng.next_u64() & 0x3F00FF) << 32) | i;
+    vals[i] = static_cast<int>(keys.size() - i);
+  }
+  std::vector<std::pair<std::uint64_t, int>> expected;
+  for (std::size_t i = 0; i < keys.size(); ++i) expected.emplace_back(keys[i], vals[i]);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  Device dev = Device::serial();
+  sort_pairs64(dev, keys, vals);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(keys[i], expected[i].first) << i;
+    EXPECT_EQ(vals[i], expected[i].second) << i;
+  }
+  EXPECT_EQ(dev.timings().phases.begin()->second.kernels, 1u);
+  EXPECT_EQ(dev.timings().phases.begin()->second.est_ops, 4.0 * 8 * 2000);
+
+  std::vector<std::uint32_t> same(5, 7u);
+  std::vector<int> order = {4, 3, 2, 1, 0};
+  sort_pairs(dev, same, order);  // every pass skipped: nothing moves
+  EXPECT_EQ(order, (std::vector<int>{4, 3, 2, 1, 0}));
 }
 
 TEST(Device, SimulatedTimeScalesWithWork) {

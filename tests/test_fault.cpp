@@ -434,6 +434,37 @@ TEST_F(FaultClusterFixture, WorkerCrashIsRestartedAndTheHeldBatchIsRedriven) {
   EXPECT_GE(m.faults_injected, 1);
 }
 
+TEST_F(FaultClusterFixture, ACrashAbandonedBatchWaitsOutOneBackoffNotOnePerItem) {
+  // Every item's crash fires, so one crash abandons a whole 16-item batch
+  // with every attempt advanced; each then waits a 20-ms backoff before its
+  // re-drive, whose crash spends the budget. Waited out together, the 16
+  // backoffs cost one 20-ms sleep per abandoned batch; in turn they would
+  // cost 16 x 20 ms.
+  constexpr int kRequests = 16;
+  ClusterConfig config = chaos_config(1, 5, 1.0, site_mask(FaultSite::kWorkerCrash));
+  config.batch_size = kRequests;
+  config.retry_limit = 1;
+  config.retry_backoff_us = 20000;
+  config.retry_backoff_max_us = 20000;
+  ServingCluster cluster(config, primary_);
+  // One request first starts the shard and makes the corpus resident, so
+  // only the drain and its re-drives are timed.
+  ASSERT_EQ(run_serial(cluster, workload(1)).size(), 1u);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<AdvisorResponse> responses = run_serial(cluster, workload(kRequests));
+  const double elapsed_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+
+  ASSERT_EQ(responses.size(), static_cast<std::size_t>(kRequests));
+  for (const AdvisorResponse& r : responses) {
+    EXPECT_TRUE(r.degraded());
+    EXPECT_NE(r.error.find("retry budget exhausted"), std::string::npos) << r.error;
+  }
+  EXPECT_GE(elapsed_ms, 20.0);       // the backoff is really waited out...
+  EXPECT_LT(elapsed_ms, 8 * 20.0);   // ...once, not once per item
+}
+
 TEST_F(FaultClusterFixture, SameSeedReproducesTheSameDegradedBytesOnAFreshCluster) {
   // Mixed-fate schedules on one and two shards. Eval throws alone at rate
   // 0.6 degrade a request only when all three of its attempts fire (~22%).
@@ -465,16 +496,19 @@ TEST_F(FaultClusterFixture, SameSeedReproducesTheSameDegradedBytesOnAFreshCluste
     std::vector<std::string> bytes_at_one_shard;
     for (const int shards : {1, 2}) {
       SCOPED_TRACE(std::string(schedule.label) + ", " + std::to_string(shards) + " shard(s)");
-      ClusterMetrics metrics;
-      const auto chaos = [&] {
+      const auto chaos = [&](ClusterMetrics& metrics) {
         ServingCluster cluster(
             chaos_config(shards, schedule.seed, schedule.rate, schedule.sites), primary_);
         std::vector<AdvisorResponse> responses = run_serial(cluster, requests);
         metrics = cluster.metrics();
         return responses;
       };
-      const std::vector<AdvisorResponse> first = chaos();
-      const std::vector<AdvisorResponse> second = chaos();
+      ClusterMetrics metrics, second_metrics;
+      const std::vector<AdvisorResponse> first = chaos(metrics);
+      const std::vector<AdvisorResponse> second = chaos(second_metrics);
+      // Every crash or throw drawn is acted on once per attempt, so the
+      // count is a function of the seed, like the bytes.
+      EXPECT_EQ(metrics.faults_injected, second_metrics.faults_injected);
 
       ASSERT_EQ(first.size(), static_cast<std::size_t>(kRequests));
       ASSERT_EQ(second.size(), first.size());

@@ -2,8 +2,11 @@
 // Morton codes, RNG, color tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "math/aabb.hpp"
 #include "math/camera.hpp"
@@ -190,6 +193,26 @@ TEST(Morton, Morton2dRoundTrip) {
       EXPECT_EQ(rx, x);
       EXPECT_EQ(ry, y);
     }
+}
+
+// The tiled pixel order against its definition: decode every code of the
+// enclosing power-of-two square and keep the on-screen ones.
+TEST(Morton, PixelOrderMatchesDecodingEveryCode) {
+  for (const auto& [w, h] : {std::pair{1, 1}, {5, 3}, {8, 8}, {9, 16}, {96, 96}, {120, 90},
+                            {17, 200}, {256, 7}}) {
+    std::uint32_t side = 1;
+    while (side < static_cast<std::uint32_t>(std::max(w, h))) side <<= 1;
+    std::vector<int> expected;
+    for (std::uint32_t code = 0; code < side * side; ++code) {
+      std::uint32_t x, y;
+      morton2d_decode(code, x, y);
+      if (x < static_cast<std::uint32_t>(w) && y < static_cast<std::uint32_t>(h))
+        expected.push_back(static_cast<int>(y) * w + static_cast<int>(x));
+    }
+    std::vector<int> order = {42};  // stale contents are replaced
+    morton_pixel_order(w, h, order);
+    EXPECT_EQ(order, expected) << w << "x" << h;
+  }
 }
 
 TEST(Morton, Morton3dDistinctAndBounded) {

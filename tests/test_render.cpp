@@ -5,8 +5,11 @@
 
 #include <cmath>
 
+#include "conduit/blueprint.hpp"
+#include "digest.hpp"
 #include "dpp/profiles.hpp"
 #include "math/colormap.hpp"
+#include "mesh/external_faces.hpp"
 #include "mesh/fields.hpp"
 #include "mesh/scenes.hpp"
 #include "mesh/tetrahedralize.hpp"
@@ -14,6 +17,7 @@
 #include "render/rt/raytracer.hpp"
 #include "render/uvr/unstructured.hpp"
 #include "render/vr/volume.hpp"
+#include "sims/cloverleaf.hpp"
 
 namespace isr::render {
 namespace {
@@ -394,6 +398,95 @@ TEST(KernelTape, VolumeRendererReplaysAsLive) {
   const std::vector<dpp::TimingLog> segments = p.replay();
   ASSERT_EQ(segments.size(), 1u);
   expect_same_log(segments.back(), live.timings);
+}
+
+// --- Golden digests: kernel edits must not move a bit ------------------------
+
+// One fixed cloverleaf rank (rank 1 of 4, two steps), as the study prepares
+// it: a normalized structured grid and its external-face surface, framed on
+// a non-square screen so the Morton order skips codes.
+struct CloverRank {
+  CloverRank() {
+    sims::CloverLeaf proxy(20, 20, 20, 1, 4);
+    proxy.step();
+    proxy.step();
+    conduit::Node data;
+    proxy.describe(data);
+    grid = conduit::blueprint::to_structured(data, "energy");
+    grid.normalize_scalars();
+    surface = mesh::external_faces(grid);
+    cam = Camera::framing(grid.bounds(), 120, 90, 0.8f);
+  }
+  mesh::StructuredGrid grid;
+  mesh::TriMesh surface;
+  Camera cam;
+  ColorTable colors = ColorTable::cool_warm();
+};
+
+// Image bytes, every RenderStats variable and every phase's simulated
+// seconds, ops, bytes and kernel count.
+void add_render(testing_digest::Fnv1a& d, const Image& img, const RenderStats& stats) {
+  d.bytes(img.pixels().data(), img.pixels().size() * sizeof(Vec4f));
+  d.bytes(img.depths().data(), img.depths().size() * sizeof(float));
+  for (const double v : {stats.objects, stats.active_pixels, stats.visible_objects,
+                         stats.pixels_per_tri, stats.samples_per_ray, stats.cells_spanned})
+    d.add(v);
+  for (const auto& [name, rec] : stats.timings.phases) {
+    d.add(name);
+    d.add(rec.seconds);
+    d.add(rec.est_ops);
+    d.add(rec.est_bytes);
+    d.add(static_cast<std::uint64_t>(rec.kernels));
+  }
+}
+
+std::uint64_t ray_trace_digest(const RayTracerOptions& opt) {
+  CloverRank f;
+  dpp::Device dev = dpp::Device::simulated(dpp::profile_gpu1(), 41);
+  RayTracer rt(f.surface, dev);
+  Image img;
+  const RenderStats stats = rt.render(f.cam, f.colors, img, opt);
+  testing_digest::Fnv1a d;
+  add_render(d, Image{}, rt.bvh_build_stats());
+  add_render(d, img, stats);
+  return d.value();
+}
+
+// The digests were recorded before the per-frame hoists and the early
+// depth reject; a change here means a kernel moved a bit of an image, a
+// model variable or a simulated time.
+TEST(RenderGolden, RayTraceShadedIsBitIdentical) {
+  EXPECT_EQ(ray_trace_digest({}), 0xdf8ceb71738050abull);
+}
+
+TEST(RenderGolden, RayTraceFullIsBitIdentical) {
+  RayTracerOptions opt;
+  opt.workload = RayTracerOptions::Workload::kFull;
+  opt.max_specular_depth = 1;
+  EXPECT_EQ(ray_trace_digest(opt), 0xe5144ecf9bae3f9cull);
+}
+
+TEST(RenderGolden, RasterizeIsBitIdentical) {
+  CloverRank f;
+  dpp::Device dev = dpp::Device::simulated(dpp::profile_gpu1(), 43);
+  Image img;
+  const RenderStats stats = Rasterizer(f.surface, dev).render(f.cam, f.colors, img);
+  testing_digest::Fnv1a d;
+  add_render(d, img, stats);
+  EXPECT_EQ(d.value(), 0xfbf8aeee9ac2233aull);
+}
+
+TEST(RenderGolden, VolumeIsBitIdentical) {
+  CloverRank f;
+  dpp::Device dev = dpp::Device::simulated(dpp::profile_gpu1(), 47);
+  const TransferFunction tf(f.colors, 0.05f, 0.3f);
+  VolumeRenderOptions opt;
+  opt.samples = 200;
+  Image img;
+  const RenderStats stats = StructuredVolumeRenderer(f.grid, dev).render(f.cam, tf, img, opt);
+  testing_digest::Fnv1a d;
+  add_render(d, img, stats);
+  EXPECT_EQ(d.value(), 0x562f3f63d08c580cull);
 }
 
 TEST(Image, PpmAndPngWritersProduceFiles) {

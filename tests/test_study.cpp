@@ -8,7 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "digest.hpp"
 #include "model/study.hpp"
+#include "serve/advisor.hpp"
 
 namespace isr::model {
 namespace {
@@ -260,6 +262,52 @@ TEST(StudyPricing, MultiArchStudyEqualsItsOneArchStudies) {
     EXPECT_EQ(multi.size(), 96u);
     expect_identical(expected, multi);
   }
+}
+
+// --- Golden digests: the corpus bit for bit ----------------------------------
+
+// Every Observation field, in slot order.
+std::uint64_t corpus_digest(const std::vector<Observation>& obs) {
+  testing_digest::Fnv1a d;
+  d.add(static_cast<std::uint64_t>(obs.size()));
+  for (const Observation& o : obs) {
+    d.add(o.arch);
+    d.add(static_cast<int>(o.renderer));
+    d.add(o.sim);
+    d.add(o.tasks);
+    d.add(o.image_size);
+    d.add(o.n_per_task);
+    for (const double v : {o.sample.inputs.objects, o.sample.inputs.active_pixels,
+                           o.sample.inputs.visible_objects, o.sample.inputs.pixels_per_tri,
+                           o.sample.inputs.samples_per_ray, o.sample.inputs.cells_spanned,
+                           o.sample.build_seconds, o.sample.render_seconds,
+                           o.avg_active_pixels, o.composite_seconds, o.total_seconds})
+      d.add(v);
+  }
+  return d.value();
+}
+
+// The digests were recorded before the render kernels' per-frame hoists and
+// the study's largest-first job order: neither may move a bit of the corpus.
+TEST(StudyGolden, DefaultCalibrationIsBitIdentical) {
+  StudyConfig cfg = serve::default_calibration();
+  cfg.seed = 77;
+  cfg.threads = 4;
+  EXPECT_EQ(corpus_digest(run_study(cfg)), 0x68f15b4fac25e95cull);
+}
+
+// The perfbench calibrate workload's shape: two sims, 96-px images, N = 16
+// and tasks {1, 2, 4, 8}, so the 8-rank jobs take the rank fan-out.
+TEST(StudyGolden, TwoSimConfigIsBitIdentical) {
+  StudyConfig cfg = serve::default_calibration();
+  cfg.sims = {"cloverleaf", "lulesh"};
+  cfg.tasks = {1, 2, 4, 8};
+  cfg.samples_per_config = 1;
+  cfg.min_n = cfg.max_n = 16;
+  cfg.min_image = cfg.max_image = 96;
+  cfg.seed = 1;
+  cfg.threads = 4;
+  EXPECT_EQ(corpus_digest(run_study(cfg)), 0xf1af60f4410e50c6ull);
 }
 
 }  // namespace
