@@ -14,6 +14,16 @@
 //   trace_off_over_absent    recorder wired, off     no recorder     kOffFloor
 //   trace_on_over_absent     recorder enabled        no recorder     -
 //
+// study_speedup reads about 1x in the first run after the host has idled,
+// and the cost is the host's, not the library's. On a 4-vCPU KVM guest at
+// ISR_BENCH_SCALE=0.1, a run started after 90 s idle read 0.93 and 0.91:
+// its 4-thread study took 35.5-36.6 ms against 32.6-33.3 ms serial for
+// the whole leg, while the run right after read 3.41 and 3.22 (13.1 ms
+// against 43-44 ms). Five seconds of a shell busy loop on all 4 vCPUs
+// before the first run, which runs no library code, restored 3.00 and
+// 3.15. So the leg adds no warm-up, which could hide a library cost, and
+// stays ungated.
+//
 // Exits 1 when a gated leg falls below its floor, or when a grid query is
 // not answered ok (a degenerate calibration at this ISR_BENCH_SCALE would
 // make every ratio meaningless). The byte-identity, fit-count, cache,

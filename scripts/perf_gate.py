@@ -13,7 +13,10 @@ workload:
 - each end_to_end metric compares the change's median over its runs with
   the parent's, in the metric's "better" direction. It fails when the change
   is worse by more than the metric's bound: below parent * (1 - bound) when
-  higher is better, above parent * (1 + bound) when lower is better;
+  higher is better, above parent * (1 + bound) when lower is better. The
+  verdict line ends with every run's value, in pair order
+  ("runs parent [a, b, c] -> change [d, e, f]"), so the medians carry
+  their spread;
 - "correct" fails when any run of either tree is not correct;
 - "failed_share" fails when the change's failed/attempted share is higher
   than the parent's.
@@ -81,15 +84,20 @@ def run_once(tree, workload, seed, seconds, label):
     return parse_result(lines[-1], label)
 
 
+def values(xs):
+    return "[" + ", ".join(f"{x:.6g}" for x in xs) + "]"
+
+
 def judge(workload, metrics, parent_runs, change_runs):
     """Verdict lines for one workload: [(passed, line), ...]."""
     verdicts = []
     for name, better, bound in metrics:
         try:
-            p = statistics.median(r["metrics"][name] for r in parent_runs)
-            c = statistics.median(r["metrics"][name] for r in change_runs)
+            pv = [r["metrics"][name] for r in parent_runs]
+            cv = [r["metrics"][name] for r in change_runs]
         except KeyError:
             raise GateError(f"{workload}: a result line lacks metric {name}") from None
+        p, c = statistics.median(pv), statistics.median(cv)
         if better == "higher":
             worse = c < p * (1.0 - bound)
         elif better == "lower":
@@ -97,8 +105,10 @@ def judge(workload, metrics, parent_runs, change_runs):
         else:
             raise GateError(f"{workload}: metric {name} has better={better!r}")
         delta = f"{(c - p) / p:+.1%}" if p else "n/a"
+        runs = f"parent {values(pv)} -> change {values(cv)}"
         verdicts.append((not worse, f"{workload} {name}: parent {p:.6g} change {c:.6g} "
-                                    f"({delta}; bound {bound:.0%}, {better} is better)"))
+                                    f"({delta}; bound {bound:.0%}, {better} is better); "
+                                    f"runs {runs}"))
 
     def correct(runs):
         return sum(r["correct"] for r in runs)

@@ -21,12 +21,14 @@ inline char* put_string(char* p, const std::string& s) {
   return p + s.size();
 }
 
+}  // namespace
+
 // The key's 64-bit hash, one 8-byte word at a time: each word is folded in
 // with a multiply-xorshift step, a short tail is zero-padded into one last
 // word, the length seeds the state (so a padded tail cannot alias a longer
 // key), and splitmix64 finalizes. A collision is only ever a cache miss —
 // lookups compare the full key bytes.
-std::uint64_t key_hash(const std::string& key) {
+std::uint64_t ResponseCache::key_hash(const std::string& key) {
   const char* p = key.data();
   std::size_t n = key.size();
   std::uint64_t h = 0x57A9E5ull ^ (static_cast<std::uint64_t>(n) * 0x9E3779B97F4A7C15ull);
@@ -46,8 +48,6 @@ std::uint64_t key_hash(const std::string& key) {
   }
   return splitmix64(h);
 }
-
-}  // namespace
 
 void canonical_request_key_into(const serve::AdvisorRequest& r, std::string& key) {
   static_assert(sizeof(double) == sizeof(std::uint64_t), "double must be 64-bit");
@@ -72,6 +72,34 @@ std::string canonical_request_key(const serve::AdvisorRequest& r) {
   return key;
 }
 
+namespace {
+
+// Slot `slot`'s tag lane. Writers hold the way's mutex, so the word's
+// load-modify-store cannot lose a concurrent writer's lane.
+void set_tag(std::atomic<std::uint64_t>* tags, std::size_t slot, std::uint16_t tag) {
+  std::atomic<std::uint64_t>& word = tags[slot / 4];
+  const unsigned shift = 16 * static_cast<unsigned>(slot % 4);
+  const std::uint64_t old = word.load(std::memory_order_relaxed);
+  word.store((old & ~(std::uint64_t{0xFFFF} << shift)) |
+                 static_cast<std::uint64_t>(tag) << shift,
+             std::memory_order_relaxed);
+}
+
+// Where a held slot sits in the order line's live prefix.
+std::size_t position(const std::uint8_t* order, std::size_t live, int slot) {
+  return static_cast<std::size_t>(
+      static_cast<const std::uint8_t*>(std::memchr(order, slot, live)) - order);
+}
+
+// Moves order[pos] to the front, shifting the more recent slots back one.
+void touch(std::uint8_t* order, std::size_t pos) {
+  const std::uint8_t slot = order[pos];
+  std::memmove(order + 1, order, pos);
+  order[0] = slot;
+}
+
+}  // namespace
+
 ResponseCache::ResponseCache(std::size_t entries, std::size_t partitions) {
   if (entries == 0) return;  // disabled
   partitions_ = partitions > 0 ? partitions : 1;
@@ -81,69 +109,108 @@ ResponseCache::ResponseCache(std::size_t entries, std::size_t partitions) {
   const std::size_t quota = std::max<std::size_t>(1, entries / partitions_);
   ways_per_partition_ = (quota + 63) / 64;
   slots_per_way_ = (quota + ways_per_partition_ - 1) / ways_per_partition_;
+  tag_words_ = (slots_per_way_ + 3) / 4;
   // A way never holds more than its slots, so all of its storage — key
   // buffers included — is paid for here and a fill never calls malloc.
   ways_ = std::make_unique<Way[]>(partitions_ * ways_per_partition_);
   for (std::size_t w = 0; w < partitions_ * ways_per_partition_; ++w) {
-    ways_[w].hashes.assign(slots_per_way_, 0);
-    ways_[w].ticks.assign(slots_per_way_, 0);
-    ways_[w].entries.resize(slots_per_way_);
-    for (Entry& entry : ways_[w].entries) entry.key.reserve(96);  // a key is ~60 bytes
+    Way& way = ways_[w];
+    for (std::atomic<std::uint64_t>& word : way.tags) word.store(0, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < 64; ++i) way.order[i] = static_cast<std::uint8_t>(i);
+    way.entries.resize(slots_per_way_);
+    for (Entry& entry : way.entries) entry.key.reserve(96);  // a key is ~60 bytes
   }
 }
 
-bool ResponseCache::lookup(std::size_t partition, std::uint64_t epoch,
-                           const std::string& key, serve::AdvisorResponse& out) {
-  if (!enabled()) return false;
-  lookups_.fetch_add(1, std::memory_order_relaxed);
+std::uint64_t ResponseCache::tag_matches(const Way& way, std::uint16_t tag) const {
+  // SWAR, one word (four slots) a step.
+  constexpr std::uint64_t kLaneLow = 0x7FFF7FFF7FFF7FFFull;
+  const std::uint64_t pattern = 0x0001000100010001ull * tag;
+  std::uint64_t matches = 0;
+  for (std::size_t w = 0; w < tag_words_; ++w) {
+    const std::uint64_t x = way.tags[w].load(std::memory_order_relaxed) ^ pattern;
+    // The top bit of each 16-bit lane is set iff the lane is zero, i.e.
+    // the slot's tag equals `tag`; masking the top bit first keeps a lane's
+    // carry out of its neighbour, so no lane reads a false match.
+    const std::uint64_t zero = ~(((x & kLaneLow) + kLaneLow) | x | kLaneLow);
+    if (zero == 0) continue;
+    // Gather the four lane flags (bits 15, 31, 47, 63) into bits 45-48 of
+    // one product: every partial product lands on its own bit, so there
+    // are no carries.
+    const std::uint64_t lanes = (zero >> 15) * 0x0000200040008001ull;
+    matches |= ((lanes >> 45) & 0xF) << (4 * w);
+  }
+  return matches;
+}
+
+int ResponseCache::find(const Way& way, std::uint64_t candidates, std::uint16_t tag,
+                        const std::string& key) const {
+  for (; candidates != 0; candidates &= candidates - 1) {
+    const auto slot = static_cast<std::size_t>(__builtin_ctzll(candidates));
+    // The lock-free scan may have read a tag since rewritten: re-read it
+    // under the mutex before trusting the slot's key bytes.
+    const std::uint64_t word = way.tags[slot / 4].load(std::memory_order_relaxed);
+    if (static_cast<std::uint16_t>(word >> (16 * (slot % 4))) == tag &&
+        way.entries[slot].key == key)
+      return static_cast<int>(slot);
+  }
+  return -1;
+}
+
+bool ResponseCache::probe(std::size_t partition, std::uint64_t epoch, const std::string& key,
+                          serve::AdvisorResponse& out) {
+  if (partition >= partitions_) return false;  // also the disabled cache
   const std::uint64_t h = key_hash(key);
+  const std::uint16_t tag = key_tag(h);
   Way& way = way_for(partition, h);
+  const std::uint64_t candidates = tag_matches(way, tag);
+  if (candidates == 0) return false;
   std::lock_guard<std::mutex> lock(way.mutex);
-  std::size_t i = 0;
-  while (i < slots_per_way_ && !way.holds(i, h, key)) ++i;
-  if (i == slots_per_way_) return false;
-  const Entry& entry = way.entries[i];
+  const int slot = find(way, candidates, tag, key);
+  if (slot < 0) return false;
+  const std::size_t pos = position(way.order, way.live, slot);
+  const Entry& entry = way.entries[static_cast<std::size_t>(slot)];
   if (entry.epoch != epoch) {
     // Stale entry from a superseded epoch: empty it in passing — no future
     // lookup can want it. A NEWER entry (the looker pinned an old bundle
     // mid-swap) is left alone; the post-swap traffic wants it.
-    if (entry.epoch < epoch) way.ticks[i] = 0;
+    if (entry.epoch < epoch) {
+      set_tag(way.tags, static_cast<std::size_t>(slot), 0);
+      std::memmove(way.order + pos, way.order + pos + 1, way.live - 1 - pos);
+      way.order[--way.live] = static_cast<std::uint8_t>(slot);
+    }
     return false;
   }
-  way.ticks[i] = ++way.clock;  // refresh recency
+  touch(way.order, pos);  // refresh recency
   out = entry.response;
-  hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 void ResponseCache::insert(std::size_t partition, std::uint64_t epoch,
                            const std::string& key,
                            const serve::AdvisorResponse& response) {
-  if (!enabled()) return;
+  if (partition >= partitions_) return;  // also the disabled cache
   const std::uint64_t h = key_hash(key);
+  const std::uint16_t tag = key_tag(h);
   Way& way = way_for(partition, h);
   std::lock_guard<std::mutex> lock(way.mutex);
-  // The slot already holding the key, else the lowest tick: an empty slot
-  // (tick 0) if there is one, otherwise the least recently used entry.
-  // One pass does both. Ticks stay far below 2^58, so (tick << 6 | slot)
-  // orders slots by tick and carries the winner's index, and the min over
-  // it is branch-free.
-  std::size_t slot = slots_per_way_;
-  std::uint64_t least = ~std::uint64_t{0};
-  for (std::size_t i = 0; i < slots_per_way_; ++i) {
-    if (way.holds(i, h, key)) {
-      slot = i;
-      break;
-    }
-    least = std::min(least, way.ticks[i] << 6 | i);
+  // The slot already holding the key, else the first empty slot, else the
+  // least recently used one; each then moves to the front of the order.
+  const int held = find(way, tag_matches(way, tag), tag, key);
+  std::size_t slot = 0;
+  if (held >= 0) {
+    slot = static_cast<std::size_t>(held);
+    touch(way.order, position(way.order, way.live, held));
+  } else {
+    if (way.live < slots_per_way_) ++way.live;
+    touch(way.order, way.live - 1u);
+    slot = way.order[0];
+    way.entries[slot].key.assign(key);
+    set_tag(way.tags, slot, tag);
   }
-  if (slot == slots_per_way_) slot = static_cast<std::size_t>(least & 63);
   Entry& entry = way.entries[slot];
-  entry.key.assign(key);
   entry.epoch = epoch;
   entry.response = response;
-  way.hashes[slot] = h;
-  way.ticks[slot] = ++way.clock;
 }
 
 std::size_t ResponseCache::invalidate_stale(std::size_t partition,
@@ -153,12 +220,23 @@ std::size_t ResponseCache::invalidate_stale(std::size_t partition,
   for (std::size_t w = 0; w < ways_per_partition_; ++w) {
     Way& way = ways_[partition * ways_per_partition_ + w];
     std::lock_guard<std::mutex> lock(way.mutex);
-    for (std::size_t i = 0; i < slots_per_way_; ++i) {
-      if (way.ticks[i] != 0 && way.entries[i].epoch < keep_epoch) {
-        way.ticks[i] = 0;
-        ++evicted;
+    // Stable partition of the live prefix: kept slots keep their recency
+    // order, stale ones join the empty tail.
+    std::uint8_t stale[64];
+    std::size_t kept = 0;
+    std::size_t n_stale = 0;
+    for (std::size_t pos = 0; pos < way.live; ++pos) {
+      const std::uint8_t slot = way.order[pos];
+      if (way.entries[slot].epoch < keep_epoch) {
+        set_tag(way.tags, slot, 0);
+        stale[n_stale++] = slot;
+      } else {
+        way.order[kept++] = slot;
       }
     }
+    std::memcpy(way.order + kept, stale, n_stale);
+    way.live = static_cast<std::uint8_t>(kept);
+    evicted += n_stale;
   }
   return evicted;
 }
@@ -167,8 +245,7 @@ std::size_t ResponseCache::size() const {
   std::size_t total = 0;
   for (std::size_t w = 0; w < partitions_ * ways_per_partition_; ++w) {
     std::lock_guard<std::mutex> lock(ways_[w].mutex);
-    total += slots_per_way_ - static_cast<std::size_t>(std::count(
-                                  ways_[w].ticks.begin(), ways_[w].ticks.end(), 0u));
+    total += ways_[w].live;
   }
   return total;
 }

@@ -67,15 +67,34 @@ class ResponseCache {
   // response into `out`, refreshes recency, and returns true. An entry
   // stamped with an OLDER epoch is a miss and is emptied in passing (it can
   // never hit again); a NEWER entry is just a miss (the looker pinned an
-  // old bundle mid-swap). Both outcomes count toward the hit-rate metrics.
+  // old bundle mid-swap). Counts one lookup (and the hit) toward the
+  // hit-rate metrics. A disabled cache, or a partition outside
+  // [0, partitions()), simply misses and counts nothing.
   bool lookup(std::size_t partition, std::uint64_t epoch, const std::string& key,
-              serve::AdvisorResponse& out);
+              serve::AdvisorResponse& out) {
+    if (partition >= partitions_) return false;
+    const bool hit = probe(partition, epoch, key, out);
+    count(1, hit ? 1 : 0);
+    return hit;
+  }
+
+  // lookup() without the counting: a caller probing many keys at once
+  // reports them through one count() call, so the probes share no
+  // counter. A miss that matches no slot's tag takes no lock and writes
+  // nothing.
+  bool probe(std::size_t partition, std::uint64_t epoch, const std::string& key,
+             serve::AdvisorResponse& out);
+  void count(long lookups, long hits) {
+    lookups_.fetch_add(lookups, std::memory_order_relaxed);
+    if (hits > 0) hits_.fetch_add(hits, std::memory_order_relaxed);
+  }
 
   // Inserts (or refreshes) `key` under `epoch` in `partition`: the slot
   // already holding the key, else an empty slot, else the way's
   // least-recently-used slot. Allocation-free at steady state: every slot
   // and its key buffer exist from construction, and key bytes are copied
-  // into the slot's buffer.
+  // into the slot's buffer. A partition outside [0, partitions()) is a
+  // no-op.
   void insert(std::size_t partition, std::uint64_t epoch, const std::string& key,
               const serve::AdvisorResponse& response);
 
@@ -95,43 +114,68 @@ class ResponseCache {
     return partition < partitions_ ? ways_per_partition_ * slots_per_way_ : 0;
   }
 
+  // The key's 64-bit hash (8-byte words mixed one at a time,
+  // splitmix64-finalized) and the nonzero 16-bit slot tag taken from its
+  // low bits; the way is picked by its high bits. Public so tests can
+  // build keys whose tags collide.
+  static std::uint64_t key_hash(const std::string& key);
+  static std::uint16_t key_tag(std::uint64_t hash) {
+    const auto tag = static_cast<std::uint16_t>(hash);
+    return tag != 0 ? tag : 1;
+  }
+
  private:
   struct Entry {
     std::string key;  // full key bytes, the collision-proof identity
     std::uint64_t epoch = 0;
     serve::AdvisorResponse response;
   };
-  // One way: exact LRU over a fixed slot array. Every touch stamps the
-  // slot with the way's next recency tick, so the lowest tick is the
-  // least recently used and tick 0 marks an empty slot. The key's 64-bit
-  // hash (8-byte words mixed one at a time, splitmix64-finalized) is
-  // computed once per operation — it also picks the way — and the hashes
-  // and ticks sit in their own arrays, so a probe or a victim search
-  // scans contiguous words. A hash match is trusted only after the full
-  // key bytes compare equal, so a 64-bit collision is a miss, never a
-  // wrong response (the determinism contract does not rest on hashes).
+  // One way: exact LRU over at most 64 slots, in two small lines.
+  //   - The TAG LINE holds each slot's 16-bit key tag, four to a relaxed
+  //     64-bit atomic word; 0 marks an empty slot. Tags are written only
+  //     under the mutex, so a probe compares the key's tag against every
+  //     slot (SWAR, four slots per word) WITHOUT the lock: a miss that matches no
+  //     tag — the cold path's common case — neither locks nor writes.
+  //     On a match it locks, re-reads the matched slots' tags, and trusts
+  //     a slot only after its full key bytes compare equal, so a tag or
+  //     hash collision is a miss, never a wrong response (the determinism
+  //     contract does not rest on hashes).
+  //   - The ORDER LINE is a permutation of the slot indices, most recent
+  //     first, with the `live` held slots ahead of the empty ones. A fill's
+  //     victim is order[live - 1] (or the first empty slot, order[live]),
+  //     and a touch is a memchr plus a memmove of at most 63 bytes: no
+  //     recency tick, no slot scan. It and the entries are guarded by the
+  //     mutex.
   // Cache-line aligned, so neighbouring ways' locks never share a line.
   struct alignas(64) Way {
+    std::atomic<std::uint64_t> tags[16];
     std::mutex mutex;
-    std::uint64_t clock = 0;
-    std::vector<std::uint64_t> hashes;
-    std::vector<std::uint64_t> ticks;
+    std::uint8_t live = 0;
+    std::uint8_t order[64];
     std::vector<Entry> entries;
-    bool holds(std::size_t slot, std::uint64_t h, const std::string& key) const {
-      return hashes[slot] == h && ticks[slot] != 0 && entries[slot].key == key;
-    }
   };
 
-  // The key's hash picks the way within its partition.
+  // Bit s is set where slot s's tag equals `tag`.
+  std::uint64_t tag_matches(const Way& way, std::uint16_t tag) const;
+  // The slot among `candidates` that holds `key`, or -1; under the mutex.
+  int find(const Way& way, std::uint64_t candidates, std::uint16_t tag,
+           const std::string& key) const;
+
+  // The hash's high 32 bits pick the way within its partition, by a
+  // multiply-shift rather than a 64-bit division.
   Way& way_for(std::size_t partition, std::uint64_t hash) const {
-    return ways_[partition * ways_per_partition_ + hash % ways_per_partition_];
+    return ways_[partition * ways_per_partition_ +
+                 static_cast<std::size_t>(((hash >> 32) * ways_per_partition_) >> 32)];
   }
 
   std::size_t partitions_ = 0;  // 0 when disabled
   std::size_t ways_per_partition_ = 0;
   std::size_t slots_per_way_ = 0;
+  std::size_t tag_words_ = 0;  // ceil(slots_per_way_ / 4)
   std::unique_ptr<Way[]> ways_;  // partition-major
-  std::atomic<long> lookups_{0};
+  // Own line: a batch's one count() never invalidates the line every probe
+  // and fill reads `ways_` from.
+  alignas(64) std::atomic<long> lookups_{0};
   std::atomic<long> hits_{0};
 };
 

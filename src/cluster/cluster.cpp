@@ -424,16 +424,21 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   // request hits entries its relaxed twin populated. Each probe is scoped
   // to its corpus's partition and the PINNED epoch, so a hit is exactly the
   // bytes this epoch's evaluation would produce. The cache is internally
-  // lock-sharded; probing it needs no admission lock. The probe spans are
+  // lock-sharded, and a miss that matches no slot's tag takes no lock;
+  // probing it needs no admission lock. The run's probes are counted once,
+  // after the loop and before any answer is delivered. The probe spans are
   // wall-clocked, so a virtual trace leaves them out.
   if (cache_->enabled()) {
     const bool probe_span = tracing && !virt;
+    long probes = 0;
+    long hits = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (s.entries[i].state != RunEntry::kResolved) continue;
       const auto ci = static_cast<std::size_t>(s.entries[i].corpus);
       canonical_request_key_into(run[i], s.key);
       const std::int64_t probe_begin_us = probe_span ? tr->now_us() : 0;
-      const bool hit = cache_->lookup(ci, s.pinned[ci]->epoch, s.key, s.hit);
+      const bool hit = cache_->probe(ci, s.pinned[ci]->epoch, s.key, s.hit);
+      ++probes;
       if (probe_span) {
         obs::TraceEvent probe = event("cache-probe", nullptr, probe_begin_us, first_slot + i);
         probe.phase = 'X';
@@ -443,10 +448,12 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
         tr->record(probe);
       }
       if (hit) {
+        ++hits;
         s.entries[i].state = RunEntry::kAnswered;
         answer(i, std::move(s.hit), "cache-hit");
       }
     }
+    if (probes > 0) cache_->count(probes, hits);
   }
 
   // The order-dependent section, once per run under admission_mutex_:

@@ -9,12 +9,14 @@
 #include <atomic>
 #include <cstring>
 #include <list>
+#include <map>
 #include <memory>
 #include <random>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/cache.hpp"
@@ -363,6 +365,34 @@ TEST(ResponseCacheTest, EveryPartitionHoldsAtLeastOneEntry) {
   }
 }
 
+TEST(ResponseCacheTest, OutOfRangePartitionIsAMissAndANoOp) {
+  // A partition past the last one addresses no way: a lookup misses and an
+  // insert changes nothing, at every cache shape.
+  for (const std::size_t partitions : {1u, 2u, 4u}) {
+    ResponseCache cache(8, partitions);
+    cache.insert(0, 1, "k", ok_response(1.0));
+    for (const std::size_t p : {partitions, partitions + 1, std::size_t{1} << 40}) {
+      cache.insert(p, 1, "other", ok_response(2.0));
+      AdvisorResponse out;
+      EXPECT_FALSE(cache.lookup(p, 1, "k", out)) << "partition " << p;
+      EXPECT_FALSE(cache.lookup(p, 1, "other", out)) << "partition " << p;
+      EXPECT_EQ(cache.invalidate_stale(p, 5), 0u);
+    }
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.lookups(), 0);  // an out-of-range lookup counts nothing
+    AdvisorResponse out;
+    EXPECT_TRUE(cache.lookup(0, 1, "k", out));
+    EXPECT_EQ(cache.lookups(), 1);
+  }
+  // A disabled cache has no partition at all: its lookups miss uncounted.
+  ResponseCache disabled(0);
+  disabled.insert(0, 1, "k", ok_response(1.0));
+  AdvisorResponse out;
+  EXPECT_FALSE(disabled.lookup(0, 1, "k", out));
+  EXPECT_EQ(disabled.lookups(), 0);
+  EXPECT_EQ(disabled.hits(), 0);
+}
+
 TEST(ResponseCacheTest, EpochScopesHitsAndInvalidation) {
   ResponseCache cache(16, /*partitions=*/2);
   cache.insert(0, 1, "a", ok_response(1.0));
@@ -543,6 +573,124 @@ TEST(ResponseCacheTest, LargeCacheHoldsAndHitsHalfItsEntries) {
   // Quotas that are not a multiple of 64 round up by less than one slot
   // per way: 130 entries are 3 ways of 44.
   EXPECT_EQ(ResponseCache(130).capacity(), 132u);
+}
+
+// `count` distinct keys whose 16-bit slot tags are all equal, brute-forced.
+std::vector<std::string> keys_sharing_one_tag(std::size_t count) {
+  std::map<std::uint16_t, std::vector<std::string>> by_tag;
+  for (long i = 0;; ++i) {
+    std::string key = "collide-" + std::to_string(i);
+    std::vector<std::string>& group =
+        by_tag[ResponseCache::key_tag(ResponseCache::key_hash(key))];
+    group.push_back(std::move(key));
+    if (group.size() == count) return group;
+  }
+}
+
+TEST(ResponseCacheTest, KeysWithOneTagStayApart) {
+  // A one-way cache, so colliding tags also share a way. The lock-free tag
+  // match only nominates slots: each key still hits its own payload, a
+  // colliding absent key misses, and a sweep or a refill of one key leaves
+  // the other alone.
+  const std::vector<std::string> keys = keys_sharing_one_tag(3);
+  const std::string& a = keys[0];
+  const std::string& b = keys[1];
+  const std::string& absent = keys[2];
+  ResponseCache cache(4);
+  cache.insert(0, 1, a, ok_response(1.0));
+  cache.insert(0, 2, b, ok_response(2.0));
+  EXPECT_EQ(cache.size(), 2u);
+  AdvisorResponse out;
+  ASSERT_TRUE(cache.lookup(0, 1, a, out));
+  EXPECT_EQ(out.frame_seconds, 1.0);
+  ASSERT_TRUE(cache.lookup(0, 2, b, out));
+  EXPECT_EQ(out.frame_seconds, 2.0);
+  EXPECT_FALSE(cache.lookup(0, 1, absent, out));
+  EXPECT_FALSE(cache.lookup(0, 2, absent, out));
+
+  // Refilling b at a newer epoch rewrites b's slot only.
+  cache.insert(0, 3, b, ok_response(3.0));
+  EXPECT_EQ(cache.size(), 2u);
+  ASSERT_TRUE(cache.lookup(0, 1, a, out));
+  EXPECT_EQ(out.frame_seconds, 1.0);
+  ASSERT_TRUE(cache.lookup(0, 3, b, out));
+  EXPECT_EQ(out.frame_seconds, 3.0);
+
+  // The sweep empties a (epoch 1) and keeps b (epoch 3), tag notwithstanding.
+  EXPECT_EQ(cache.invalidate_stale(0, 2), 1u);
+  EXPECT_FALSE(cache.lookup(0, 1, a, out));
+  ASSERT_TRUE(cache.lookup(0, 3, b, out));
+  EXPECT_EQ(out.frame_seconds, 3.0);
+
+  // The absent key fills a slot of its own, and evicting down to one
+  // slot's worth of colliding keys follows recency, not the tag.
+  cache.insert(0, 3, absent, ok_response(4.0));
+  cache.insert(0, 3, a, ok_response(5.0));
+  EXPECT_EQ(cache.size(), 3u);
+  for (const auto& [key, payload] :
+       std::vector<std::pair<std::string, double>>{{a, 5.0}, {b, 3.0}, {absent, 4.0}}) {
+    ASSERT_TRUE(cache.lookup(0, 3, key, out)) << key;
+    EXPECT_EQ(out.frame_seconds, payload) << key;
+  }
+  ResponseCache one(1);
+  one.insert(0, 1, a, ok_response(1.0));
+  one.insert(0, 1, b, ok_response(2.0));  // evicts a
+  EXPECT_FALSE(one.lookup(0, 1, a, out));
+  ASSERT_TRUE(one.lookup(0, 1, b, out));
+  EXPECT_EQ(out.frame_seconds, 2.0);
+}
+
+TEST(ResponseCacheTest, MissHeavyRaceNeverCrossesKeysOrEpochs) {
+  // Mostly lock-free probes of keys that are absent (or whose tag matches
+  // a present key's), racing fills, refills of one key at newer epochs,
+  // and sweeps. A payload is a pure function of (partition, key, epoch),
+  // so a hit carrying anything else read another key's or epoch's entry.
+  const long rounds = core::env_long("ISR_STRESS_ITERS", 3);
+  const std::vector<std::string> colliding = keys_sharing_one_tag(4);
+  ResponseCache cache(128, /*partitions=*/2);
+  const auto payload = [](std::size_t p, std::uint64_t k, std::uint64_t e) {
+    return static_cast<double>(p * 1000000 + k * 100 + e);
+  };
+  const auto key_of = [&colliding](std::uint64_t k) {
+    return k < colliding.size() ? colliding[k] : "race-" + std::to_string(k);
+  };
+  std::atomic<long> hits{0};
+  std::atomic<long> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(static_cast<std::uint64_t>(t) + 11);
+      AdvisorResponse out;
+      for (long i = 0; i < rounds * 20000; ++i) {
+        const std::size_t p = rng() % 2;
+        const std::uint64_t e = 1 + rng() % 4;
+        const std::uint64_t kind = rng() % 100;
+        if (kind < 80) {
+          // Keys 0-3 share one tag, 0-39 get filled, the rest never do.
+          const std::uint64_t k = rng() % 4000;
+          if (cache.lookup(p, e, key_of(k), out)) {
+            hits.fetch_add(1, std::memory_order_relaxed);
+            if (k >= 40 || out.frame_seconds != payload(p, k, e) || !out.ok())
+              wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        } else if (kind < 90) {
+          const std::uint64_t k = rng() % 40;
+          cache.insert(p, e, key_of(k), ok_response(payload(p, k, e)));
+        } else if (kind < 99) {
+          // Refill one key at each newer epoch in turn.
+          const std::uint64_t k = rng() % colliding.size();
+          for (std::uint64_t at = e; at <= 4; ++at)
+            cache.insert(p, at, key_of(k), ok_response(payload(p, k, at)));
+        } else {
+          cache.invalidate_stale(p, e);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(hits.load(), 0);
+  EXPECT_LE(cache.size(), cache.capacity());
 }
 
 // --- Cluster determinism contract -------------------------------------------

@@ -111,6 +111,29 @@ class PerfGateTest(unittest.TestCase):
         done = self.gate(parent, change)
         self.assertEqual(done.returncode, 0, done.stdout)
 
+    def test_verdicts_list_every_run_beside_the_medians(self):
+        # Runs print in pair order (seeds 1, 2, 3), not sorted, so the
+        # spread behind each median is readable from the verdict line.
+        parent = {"api_cold": [result(ops=1000.0), result(ops=900.0), result(ops=1100.0)],
+                  "calibrate": [result()]}
+        change = {"api_cold": [result(ops=1200.0, p50=1.5), result(ops=1250.5), result()],
+                  "calibrate": [result()]}
+        done = self.gate(parent, change)
+        self.assertEqual(done.returncode, 0, done.stdout)
+        self.assertIn("PASS api_cold ops_per_s: parent 1000 change 1200 (+20.0%; bound 25%, "
+                      "higher is better); runs parent [1000, 900, 1100] -> "
+                      "change [1200, 1250.5, 1000]", done.stdout)
+        self.assertIn("PASS api_cold cycle_p50_ms: parent 2 change 2 (+0.0%; bound 25%, "
+                      "lower is better); runs parent [2, 2, 2] -> change [1.5, 2, 2]",
+                      done.stdout)
+        # A failing verdict carries its runs too; the summary line is unchanged.
+        done = self.gate(self.both(result()), self.both(result(ops=700.0)))
+        self.assertEqual(done.returncode, 1)
+        self.assertIn("FAIL api_cold ops_per_s: parent 1000 change 700 (-30.0%; bound 25%, "
+                      "higher is better); runs parent [1000, 1000, 1000] -> "
+                      "change [700, 700, 700]", done.stdout)
+        self.assertIn("perf_gate: FAIL (1 of 8 checks failed)", done.stdout)
+
     def test_fail_when_a_run_is_not_correct(self):
         done = self.gate(self.both(result()), self.both(result(correct=False)))
         self.assertEqual(done.returncode, 1)
